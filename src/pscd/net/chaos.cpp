@@ -121,7 +121,10 @@ ChaosProxy::ChaosProxy(const ChaosConfig& config) : config_(config) {
   }
 }
 
-ChaosProxy::~ChaosProxy() { closeAll(); }
+ChaosProxy::~ChaosProxy() {
+  closeAll();
+  ::close(wakeFd_);
+}
 
 void ChaosProxy::closeAll() {
   for (auto& [id, link] : links_) {
@@ -134,10 +137,6 @@ void ChaosProxy::closeAll() {
     ::close(listenFd_);
     listenFd_ = -1;
   }
-  if (wakeFd_ >= 0) {
-    ::close(wakeFd_);
-    wakeFd_ = -1;
-  }
   if (epollFd_ >= 0) {
     ::close(epollFd_);
     epollFd_ = -1;
@@ -146,11 +145,8 @@ void ChaosProxy::closeAll() {
 
 void ChaosProxy::stop() {
   stopRequested_.store(true, std::memory_order_release);
-  const int fd = wakeFd_;
-  if (fd >= 0) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
-  }
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));
 }
 
 int ChaosProxy::computeWaitMs(double now) const {

@@ -23,8 +23,9 @@
 //
 // The proxy is the same shape as the Daemon — its own epoll loop on the
 // caller's thread, non-blocking fds, run()/stop() lifecycle, every fd
-// closed before run() returns — so tests can host daemon + proxy on two
-// background threads and count /proc/self/fd to prove neither leaks.
+// but the wake eventfd closed before run() returns and that one by the
+// destructor — so tests can host daemon + proxy on two background
+// threads and count /proc/self/fd to prove neither leaks.
 #pragma once
 
 #include <atomic>
@@ -111,8 +112,8 @@ class ChaosProxy {
   /// The locally bound port (resolves port 0 to the kernel's choice).
   std::uint16_t port() const { return port_; }
 
-  /// Forwards until stop(); callable once. Closes every fd before
-  /// returning.
+  /// Forwards until stop(); callable once. Closes every fd but the wake
+  /// eventfd before returning.
   void run();
 
   /// Thread-safe shutdown request; run() returns promptly.
@@ -181,6 +182,8 @@ class ChaosProxy {
   std::uint16_t port_ = 0;
   int listenFd_ = -1;
   int epollFd_ = -1;
+  /// Set by the constructor and closed by the destructor, never changed
+  /// in between, so stop() may read it from any thread.
   int wakeFd_ = -1;
   bool ran_ = false;
   std::uint64_t nextLinkId_ = 0;

@@ -117,7 +117,10 @@ Daemon::Daemon(DistributionService& service, const Clock& clock,
   }
 }
 
-Daemon::~Daemon() { closeAll(); }
+Daemon::~Daemon() {
+  closeAll();
+  ::close(wakeFd_);
+}
 
 void Daemon::closeAll() {
   for (auto& [fd, conn] : conns_) {
@@ -129,10 +132,6 @@ void Daemon::closeAll() {
     ::close(listenFd_);
     listenFd_ = -1;
   }
-  if (wakeFd_ >= 0) {
-    ::close(wakeFd_);
-    wakeFd_ = -1;
-  }
   if (epollFd_ >= 0) {
     ::close(epollFd_);
     epollFd_ = -1;
@@ -140,12 +139,9 @@ void Daemon::closeAll() {
 }
 
 void Daemon::wakeLoop() {
-  const int fd = wakeFd_;
-  if (fd >= 0) {
-    const std::uint64_t one = 1;
-    // Best-effort: the loop also rechecks the mode on every wakeup.
-    [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
-  }
+  const std::uint64_t one = 1;
+  // Best-effort: the loop also rechecks the mode on every wakeup.
+  [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));
 }
 
 void Daemon::stop() {

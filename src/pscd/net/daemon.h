@@ -23,9 +23,12 @@
 //
 // Threading: the loop runs entirely on the thread that calls run().
 // stop() is the one cross-thread entry point — it flips an atomic and
-// wakes the loop through an eventfd. All fds are closed by the time
-// run() returns, so a joined daemon holds no kernel resources (the
-// loopback test counts /proc/self/fd entries to prove it).
+// wakes the loop through an eventfd. Every other fd is closed by the
+// time run() returns. The eventfd lives until the destructor, so a
+// stop() racing with run()'s return never writes to a closed fd number
+// that another file may already reuse. A destroyed daemon holds no
+// kernel resources (the loopback test counts /proc/self/fd entries to
+// prove it).
 #pragma once
 
 #include <atomic>
@@ -140,8 +143,8 @@ class Daemon {
   /// The locally bound port (resolves port 0 to the kernel's choice).
   std::uint16_t port() const { return port_; }
 
-  /// Serves until stop(); callable once. Closes every fd before
-  /// returning.
+  /// Serves until stop(); callable once. Closes every fd but the wake
+  /// eventfd before returning.
   void run();
 
   /// Thread-safe shutdown request; run() returns promptly, abandoning
@@ -213,6 +216,8 @@ class Daemon {
   std::uint16_t port_ = 0;
   int listenFd_ = -1;
   int epollFd_ = -1;
+  /// Set by the constructor and closed by the destructor, never changed
+  /// in between, so stop() may read it from any thread.
   int wakeFd_ = -1;
   bool ran_ = false;
   bool timersEnabled_ = false;

@@ -114,7 +114,7 @@ LockstepReport runMatcherLockstep(const MatcherLockstepConfig& config) {
       config.sabotage(prod);
     }
     const double roll = rng.uniform();
-    if (roll < 0.45 || ids.empty()) {
+    if (roll < 0.60 - config.removeShare || ids.empty()) {
       const Subscription sub = randomSubscription();
       const SubscriptionId got = prod.addSubscription(sub);
       const SubscriptionId want = ref.addSubscription(sub);

@@ -53,13 +53,18 @@ struct MatcherLockstepConfig {
   std::uint32_t numPages = 32;
   std::uint32_t numCategories = 6;
   std::uint32_t numKeywords = 16;
+  /// Share of steps that remove a subscription; adds take the rest of
+  /// the 60% of steps that are not publishes. Above 0.30, removals
+  /// outnumber adds and the engine compacts its index again and again.
+  double removeShare = 0.15;
   std::size_t sabotageStep = kNoSabotage;
   std::function<void(MatchingEngine&)> sabotage;
 };
 
-/// Ops: add subscription (compares ids), remove (compares success),
-/// publish (compares the matched id set and per-proxy counts). The
-/// production invariants are validated periodically.
+/// Ops: add subscription (compares ids), remove (compares success; the
+/// id may already be gone), publish (compares the matched id set and
+/// per-proxy counts). The production invariants are validated
+/// periodically.
 LockstepReport runMatcherLockstep(const MatcherLockstepConfig& config);
 
 // ----------------------------------------------------------- covering --

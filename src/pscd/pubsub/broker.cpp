@@ -1,6 +1,7 @@
 #include "pscd/pubsub/broker.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "pscd/util/check.h"
@@ -83,22 +84,29 @@ PSCD_HOT std::vector<Notification> Broker::publish(
   std::vector<Notification> out;
 
   const auto pageIt = aggregated_.find(attrs.page);
-  if (pageIt != aggregated_.end()) out = pageIt->second;
+  std::span<const Notification> page;
+  if (pageIt != aggregated_.end()) page = pageIt->second;
 
-  if (engine_.size() > 0) {
+  if (engine_.size() == 0) {
+    out.assign(page.begin(), page.end());
+  } else {
     const MatchResult m = engine_.match(attrs);
-    // Merge the (sorted) predicate-match counts into the aggregated list.
-    // Worst case every matched proxy is new to the list; one exact
-    // reserve keeps the sorted inserts from reallocating mid-merge.
-    out.reserve(out.size() + m.proxyCounts.size());
-    for (const auto& [proxy, count] : m.proxyCounts) {
-      const auto it = std::lower_bound(
-          out.begin(), out.end(), proxy,
-          [](const Notification& n, ProxyId p) { return n.proxy < p; });
-      if (it != out.end() && it->proxy == proxy) {
-        it->matchCount += count;
+    // Both lists are sorted by proxy, so one two-pointer pass merges
+    // them; a proxy on both sides gets the sum of its counts.
+    const auto& counts = m.proxyCounts;
+    out.reserve(page.size() + counts.size());
+    auto a = page.begin();
+    auto c = counts.begin();
+    while (a != page.end() || c != counts.end()) {
+      if (c == counts.end() || (a != page.end() && a->proxy < c->first)) {
+        out.push_back(*a++);
+      } else if (a == page.end() || c->first < a->proxy) {
+        out.push_back({c->first, c->second});
+        ++c;
       } else {
-        out.insert(it, Notification{proxy, count});
+        out.push_back({a->proxy, a->matchCount + c->second});
+        ++a;
+        ++c;
       }
     }
   }

@@ -26,11 +26,23 @@ struct MatchResult {
 
 class MatchingEngine {
  public:
+  /// Postings in the inverted index, split by the state of the
+  /// subscription they belong to. Dead postings belong to removed
+  /// subscriptions and stay until the next compaction.
+  struct PostingCounts {
+    std::size_t live = 0;
+    std::size_t dead = 0;
+  };
+
   /// Registers a subscription; duplicate predicates within one
-  /// subscription are collapsed. Throws on an empty conjunction.
+  /// subscription are collapsed. Throws std::invalid_argument on an
+  /// empty conjunction and std::length_error on the 2^32-th
+  /// subscription ever made.
   SubscriptionId addSubscription(Subscription sub);
 
-  /// Removes a subscription; returns false if the id is unknown.
+  /// Removes a subscription; returns false if the id is unknown. Once
+  /// dead postings outnumber live ones, erases every dead posting in one
+  /// pass over the index (amortized O(1) per removed posting).
   bool removeSubscription(SubscriptionId id);
 
   /// Matches the attributes against all live subscriptions.
@@ -39,37 +51,57 @@ class MatchingEngine {
   /// Number of live subscriptions.
   std::size_t size() const { return liveCount_; }
 
+  PostingCounts postingCounts() const {
+    return {livePostings_, deadPostings_};
+  }
+
   /// Validates the inverted index against the registered subscriptions:
   /// every posting references a known subscription, postings are unique
-  /// per key, each subscription is referenced by exactly numConjuncts
-  /// postings, and the live counter matches the records. Throws
-  /// CheckFailure on any violation.
+  /// per key, a live subscription is referenced by exactly numConjuncts
+  /// postings and a removed one by all or none of them, the live and
+  /// posting counters match the records, and dead postings never
+  /// outnumber live ones. Throws CheckFailure on any violation.
   void checkInvariants() const;
 
  private:
   friend class InvariantCorrupter;  // test-only state corruption hook
 
-  struct SubRecord {
+  /// One subscription in 16 bytes. `need` is its conjunct count, or'ed
+  /// with kDead once removed, so a dead record can never reach
+  /// hits == need. `stamp` and `hits` are match()'s per-publish counter:
+  /// `hits` is valid only while `stamp` equals the current epoch.
+  struct Record {
     ProxyId proxy = 0;
-    std::uint32_t numConjuncts = 0;
-    bool live = false;
+    std::uint32_t need = 0;
+    std::uint32_t stamp = 0;
+    std::uint32_t hits = 0;
   };
+  static constexpr std::uint32_t kDead = 0x80000000u;
+  /// A posting is a record position in 32 bits, half the size of a
+  /// SubscriptionId, so addSubscription refuses a 2^32-th record.
+  using Posting = std::uint32_t;
 
   static std::uint64_t key(Predicate::Kind kind, std::uint32_t value) {
     return (static_cast<std::uint64_t>(kind) << 32) | value;
   }
 
-  std::vector<SubRecord> subs_;
-  std::unordered_map<std::uint64_t, std::vector<SubscriptionId>> index_;
-  std::size_t liveCount_ = 0;
+  void compact();
 
-  // Scratch space for the counting algorithm (epoch-stamped so it never
-  // needs clearing); mutable because match() is logically const.
-  mutable std::vector<std::uint32_t> hitCount_;
-  mutable std::vector<std::uint64_t> stamp_;
-  mutable std::uint64_t epoch_ = 0;
-  // Reused keyword-dedup buffer: match() assigns into it instead of
-  // constructing a fresh vector per event.
+  // Mutable for the stamp/hits counters match() updates; match() never
+  // changes a record's proxy or need.
+  mutable std::vector<Record> recs_;
+  std::unordered_map<std::uint64_t, std::vector<Posting>> index_;
+  std::size_t liveCount_ = 0;
+  std::size_t livePostings_ = 0;
+  std::size_t deadPostings_ = 0;
+
+  // Per-publish scratch, reused so steady-state matching does not
+  // allocate beyond the result; mutable because match() is logically
+  // const. Epoch 0 is never current, so fresh records start unstamped.
+  mutable std::uint32_t epoch_ = 0;
+  /// Matches per proxy id, all zero between calls.
+  mutable std::vector<std::uint32_t> proxyHits_;
+  mutable std::vector<Posting> matchScratch_;
   mutable std::vector<std::uint32_t> keywordScratch_;
 };
 

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "pscd/cache/value_cache.h"
 #include "pscd/oracle/lockstep.h"
 #include "pscd/oracle/reference_cache.h"
+#include "pscd/oracle/reference_matcher.h"
 #include "pscd/oracle/reference_paths.h"
 #include "pscd/pubsub/covering.h"
 #include "pscd/pubsub/matcher.h"
@@ -46,6 +49,10 @@ class InvariantCorrupter {
   static void dropIndexBucket(MatchingEngine& m) {
     ASSERT_FALSE(m.index_.empty());
     m.index_.erase(m.index_.begin());
+  }
+  static void driftDeadPostings(MatchingEngine& m) { ++m.deadPostings_; }
+  static void setEpoch(MatchingEngine& m, std::uint32_t epoch) {
+    m.epoch_ = epoch;
   }
 
   static void dropFrontierMember(CoveringSet& c) {
@@ -113,6 +120,84 @@ TEST(MatcherLockstep, DetectsDroppedIndexBucket) {
   // CheckFailure from the periodic invariant validation.
   EXPECT_GE(report.step, 500u);
   EXPECT_EQ(report.seed, 7u);
+}
+
+TEST(MatcherLockstep, AgreesWhenRemovalsOutnumberAdds) {
+  // Adds 15%, removals 45%: dead postings keep catching up with live
+  // ones, so the index is compacted many times while the stream runs
+  // (17 and 18 times for these two seeds).
+  for (const std::uint64_t seed : {5ull, 9ull}) {
+    MatcherLockstepConfig config;
+    config.seed = seed;
+    config.steps = 10 * kSteps;
+    config.removeShare = 0.45;
+    const LockstepReport report = runMatcherLockstep(config);
+    EXPECT_FALSE(report.diverged) << toString(report);
+    EXPECT_EQ(report.stepsRun, config.steps);
+  }
+}
+
+TEST(MatcherLockstep, DetectsDeadPostingDrift) {
+  MatcherLockstepConfig config;
+  config.seed = 7;
+  config.steps = kSteps;
+  config.sabotageStep = 512;  // a step that validates the invariants
+  config.sabotage = [](MatchingEngine& m) {
+    InvariantCorrupter::driftDeadPostings(m);
+  };
+  const LockstepReport report = runMatcherLockstep(config);
+  ASSERT_TRUE(report.diverged) << toString(report);
+  EXPECT_EQ(report.seed, 7u);
+  EXPECT_EQ(report.step, 512u);
+  EXPECT_NE(report.what.find("dead-posting"), std::string::npos)
+      << report.what;
+}
+
+TEST(MatcherLockstep, AgreesAcrossEpochWrap) {
+  // Halfway through, the epoch jumps to just below its maximum; about 20
+  // publishes later it wraps while records still carry stamps from the
+  // first half, which must not be mistaken for current counts.
+  MatcherLockstepConfig config;
+  config.seed = 13;
+  config.steps = kSteps;
+  config.sabotageStep = kSteps / 2;
+  config.sabotage = [](MatchingEngine& m) {
+    InvariantCorrupter::setEpoch(m, std::numeric_limits<std::uint32_t>::max() -
+                                        20);
+  };
+  const LockstepReport report = runMatcherLockstep(config);
+  EXPECT_FALSE(report.diverged) << toString(report);
+  EXPECT_EQ(report.stepsRun, kSteps);
+}
+
+TEST(MatcherEpochWrap, StaleCountFromBeforeTheWrapNeverCompletesAMatch) {
+  Subscription both;
+  both.proxy = 1;
+  both.conjuncts = {{Predicate::Kind::kCategoryEq, 1},
+                    {Predicate::Kind::kKeywordContains, 9}};
+  MatchingEngine prod;
+  ReferenceMatcher ref;
+  prod.addSubscription(both);
+  ref.addSubscription(both);
+  ContentAttributes categoryOnly;
+  categoryOnly.category = 1;
+  ContentAttributes unrelated;
+  unrelated.category = 5;
+  ContentAttributes keywordOnly;
+  keywordOnly.category = 2;
+  keywordOnly.keywords = {9};
+  // Epoch 1 leaves the subscription one conjunct short of a match.
+  EXPECT_TRUE(prod.match(categoryOnly).subscriptions.empty());
+  InvariantCorrupter::setEpoch(prod,
+                               std::numeric_limits<std::uint32_t>::max() - 1);
+  for (const ContentAttributes& attrs :
+       {unrelated, unrelated, keywordOnly, categoryOnly, keywordOnly}) {
+    const MatchResult got = prod.match(attrs);
+    const MatchResult want = ref.match(attrs);
+    EXPECT_EQ(got.subscriptions, want.subscriptions);
+    EXPECT_EQ(got.proxyCounts, want.proxyCounts);
+  }
+  prod.checkInvariants();
 }
 
 // ----------------------------------------------------------- covering --

@@ -49,6 +49,7 @@ class InvariantCorrupter {
     auto& list = m.index_.begin()->second;
     list.push_back(list.front());
   }
+  static void driftDeadPostings(MatchingEngine& m) { ++m.deadPostings_; }
 
   static void unsortAggregation(Broker& b) {
     auto& list = b.aggregated_.begin()->second;
@@ -209,10 +210,18 @@ TEST(MatcherInvariantsTest, DetectsDuplicatedPosting) {
   EXPECT_THROW(m.checkInvariants(), CheckFailure);
 }
 
+TEST(MatcherInvariantsTest, DetectsDeadPostingCounterDrift) {
+  MatchingEngine m = populatedMatcher();
+  InvariantCorrupter::driftDeadPostings(m);
+  EXPECT_THROW(m.checkInvariants(), CheckFailure);
+}
+
 TEST(MatcherInvariantsTest, RemovalKeepsInvariants) {
   MatchingEngine m = populatedMatcher();
+  EXPECT_TRUE(m.removeSubscription(1));
+  m.checkInvariants();  // one dead posting left in the index
   EXPECT_TRUE(m.removeSubscription(0));
-  m.checkInvariants();  // lazy deletion keeps postings consistent
+  m.checkInvariants();  // dead outnumbered live: compacted away
 }
 
 TEST(BrokerInvariantsTest, DetectsUnsortedAggregationList) {

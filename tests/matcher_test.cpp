@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 
+#include "pscd/oracle/reference_matcher.h"
 #include "pscd/util/rng.h"
 
 namespace pscd {
@@ -122,6 +124,91 @@ TEST(MatchingEngineTest, KeywordOnlyNeedsOneOccurrence) {
   e.addSubscription(sub(0, {{Predicate::Kind::kKeywordContains, 7}}));
   // Page attributes listing the keyword twice must not double-count.
   EXPECT_EQ(e.match(attrs(0, 0, {7, 7})).subscriptions.size(), 1u);
+}
+
+TEST(MatchingEngineTest, SparseProxyIdsGiveSortedCounts) {
+  MatchingEngine e;
+  e.addSubscription(sub(70000, {{Predicate::Kind::kCategoryEq, 1}}));
+  e.addSubscription(sub(3, {{Predicate::Kind::kCategoryEq, 1}}));
+  e.addSubscription(sub(70000, {{Predicate::Kind::kKeywordContains, 2}}));
+  const auto r = e.match(attrs(0, 1, {2}));
+  ASSERT_EQ(r.proxyCounts.size(), 2u);
+  EXPECT_EQ(r.proxyCounts[0], (std::pair<ProxyId, std::uint32_t>{3, 1}));
+  EXPECT_EQ(r.proxyCounts[1], (std::pair<ProxyId, std::uint32_t>{70000, 2}));
+  // The per-proxy counters start from zero again on the next match.
+  EXPECT_EQ(e.match(attrs(0, 1, {2})).proxyCounts, r.proxyCounts);
+  e.checkInvariants();
+}
+
+TEST(MatchingEngineTest, RemovingEverySubscriptionEmptiesTheIndex) {
+  MatchingEngine e;
+  const auto a = e.addSubscription(sub(0, {{Predicate::Kind::kCategoryEq, 1},
+                                           {Predicate::Kind::kPageIdEq, 4}}));
+  const auto b = e.addSubscription(sub(1, {{Predicate::Kind::kCategoryEq, 1}}));
+  EXPECT_EQ(e.postingCounts().live, 3u);
+  EXPECT_TRUE(e.removeSubscription(b));
+  EXPECT_EQ(e.postingCounts().live, 2u);
+  EXPECT_EQ(e.postingCounts().dead, 1u);
+  // Dead postings now outnumber live ones: compaction erases them all.
+  EXPECT_TRUE(e.removeSubscription(a));
+  EXPECT_EQ(e.postingCounts().live, 0u);
+  EXPECT_EQ(e.postingCounts().dead, 0u);
+  EXPECT_TRUE(e.match(attrs(4, 1)).subscriptions.empty());
+  e.checkInvariants();
+  // Ids keep counting from the record table, as in ReferenceMatcher.
+  EXPECT_EQ(e.addSubscription(sub(0, {{Predicate::Kind::kPageIdEq, 4}})), 2u);
+}
+
+TEST(MatchingEngineTest, FifoChurnCompactsAndAgreesWithReference) {
+  // 10^4 live subscriptions replaced oldest-first five times over.
+  constexpr std::size_t kLive = 10000;
+  Rng rng(77);
+  const auto randomSub = [&rng] {
+    std::vector<Predicate> preds = {
+        {Predicate::Kind::kCategoryEq,
+         static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{20}))}};
+    if (rng.bernoulli(0.5)) {
+      preds.push_back(
+          {Predicate::Kind::kKeywordContains,
+           static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{50}))});
+    }
+    return sub(static_cast<ProxyId>(rng.uniformInt(std::uint64_t{16})),
+               std::move(preds));
+  };
+  MatchingEngine e;
+  ReferenceMatcher ref;
+  std::deque<SubscriptionId> live;
+  for (std::size_t i = 0; i < kLive; ++i) {
+    const Subscription s = randomSub();
+    live.push_back(e.addSubscription(s));
+    ASSERT_EQ(ref.addSubscription(s), live.back());
+  }
+  std::size_t compactions = 0;
+  for (std::size_t step = 0; step < 5 * kLive; ++step) {
+    ASSERT_TRUE(e.removeSubscription(live.front()));
+    ASSERT_TRUE(ref.removeSubscription(live.front()));
+    live.pop_front();
+    // A removal always adds dead postings unless it compacted them.
+    if (e.postingCounts().dead == 0) ++compactions;
+    const Subscription s = randomSub();
+    live.push_back(e.addSubscription(s));
+    ASSERT_EQ(ref.addSubscription(s), live.back());
+    const auto counts = e.postingCounts();
+    ASSERT_LE(counts.dead, counts.live) << "step " << step;
+    if (step % 1000 == 0) {
+      const ContentAttributes a =
+          attrs(0, static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{20})),
+                {static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{50}))});
+      MatchResult got = e.match(a);
+      const MatchResult want = ref.match(a);
+      std::sort(got.subscriptions.begin(), got.subscriptions.end());
+      ASSERT_EQ(got.subscriptions, want.subscriptions) << "step " << step;
+      ASSERT_EQ(got.proxyCounts, want.proxyCounts) << "step " << step;
+    }
+  }
+  EXPECT_GE(compactions, 4u);
+  EXPECT_EQ(e.size(), kLive);
+  e.checkInvariants();
 }
 
 TEST(MatchingEngineTest, MatchesAgreeWithBruteForce) {

@@ -13,12 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "pscd/net/chaos.h"
 #include "pscd/net/client.h"
 #include "pscd/util/rng.h"
 
@@ -323,6 +325,47 @@ TEST(ServeLoopbackShutdown, CleanShutdownLeaksNoFds) {
     }
   }
   EXPECT_EQ(countOpenFds(), before);
+}
+
+/// Runs `server.run()` on this thread while a second thread calls
+/// `poke` in a loop: before run() starts, while it returns, and for a
+/// while after it returned.
+template <typename Server, typename Poke>
+void pokeWhileRunReturns(Server& server, Poke poke) {
+  std::atomic<bool> returned{false};
+  std::thread poker([&] {
+    for (int after = 0; after < 100;) {
+      poke();
+      if (returned.load(std::memory_order_acquire)) ++after;
+    }
+  });
+  server.run();
+  returned.store(true, std::memory_order_release);
+  poker.join();
+}
+
+TEST(ServeLoopbackShutdown, StopRacingRunReturnIsSafe) {
+  // The wake eventfd stays open until the destructor, so a stop() that
+  // races with run()'s return never reads a descriptor being closed or
+  // writes to a reused fd number. The debug-tsan-parallel preset runs
+  // this under ThreadSanitizer.
+  for (int round = 0; round < 10; ++round) {
+    ServeHostConfig config;
+    config.numProxies = 2;
+    config.numTransitNodes = 2;
+    ServeHost host(config, DaemonConfig{});
+    Daemon& daemon = host.daemon();
+    pokeWhileRunReturns(daemon, [&daemon] {
+      daemon.stop();
+      daemon.stopDrain();
+      daemon.requestStatsDump();
+    });
+
+    ChaosConfig chaos;
+    chaos.targetPort = daemon.port();
+    ChaosProxy proxy(chaos);
+    pokeWhileRunReturns(proxy, [&proxy] { proxy.stop(); });
+  }
 }
 
 TEST(ServeLoopbackShutdown, StopBeforeRunAndDoubleRunAreSafe) {
