@@ -103,41 +103,36 @@ PSCD_HOT double GdsFamilyStrategy::value(double frequency, Bytes size) const {
   return (config_.useInflation ? inflation_ : 0.0) + term;
 }
 
-void GdsFamilyStrategy::noteEvictions(
-    const std::vector<ValueCache::StoredEntry>& evicted) {
-  // GD* pseudo-code: L ends up as the value of the page evicted last.
-  if (config_.useInflation && !evicted.empty()) {
-    inflation_ = evicted.back().value;
-  }
-}
-
 PSCD_HOT std::uint32_t GdsFamilyStrategy::effectiveAccessCount(
     const CacheEntry& entry) const {
   if (!config_.persistentAccessCounts) return entry.accessCount;
-  const auto it = accessHistory_.find(entry.page);
-  return it == accessHistory_.end() ? 0 : it->second;
+  const std::uint32_t* count = accessHistory_.find(entry.page);
+  return count == nullptr ? 0 : *count;
 }
 
-PSCD_HOT void GdsFamilyStrategy::noteAccess(PageId page) {
-  if (config_.persistentAccessCounts) ++accessHistory_[page];
+PSCD_HOT std::uint32_t GdsFamilyStrategy::noteAccess(PageId page) {
+  return config_.persistentAccessCounts ? ++accessHistory_[page] : 0;
 }
 
-PSCD_HOT bool GdsFamilyStrategy::insert(const CacheEntry& entry) {
+PSCD_HOT bool GdsFamilyStrategy::insert(const CacheEntry& entry,
+                                        std::uint32_t accessCount) {
   // The frequency term is identical before and after eviction (only the
-  // inflation offset inside value() moves), so probe the access-history
-  // hash once and reuse the result for both valuations.
-  const double freq = frequency(entry.subCount, effectiveAccessCount(entry));
+  // inflation offset inside value() moves), so it is computed once.
+  const double freq = frequency(entry.subCount, accessCount);
   const double v = value(freq, entry.size);
-  std::optional<std::vector<ValueCache::StoredEntry>> evicted;
-  if (config_.valueBasedAdmission) {
-    evicted = cache_.tryEvictLowerThan(v, entry.size);
-  } else {
-    evicted = cache_.evictFor(entry.size);
-  }
+  const auto evicted = config_.valueBasedAdmission
+                           ? cache_.tryEvictLowerThan(v, entry.size)
+                           : cache_.evictFor(entry.size);
   if (!evicted) return false;
-  noteEvictions(*evicted);
-  // Assign the value with the post-eviction inflation, as in the
-  // pseudo-code (evict first, then V(p) <- L + ...).
+  if (evicted->empty() || !config_.useInflation) {
+    // L moves only on eviction, so the pre-eviction value stands.
+    cache_.insertNoEvict(entry, v);
+    return true;
+  }
+  // GD* pseudo-code: L ends up as the value of the page evicted last,
+  // and the new page is valued with it (evict first, then
+  // V(p) <- L + ...).
+  inflation_ = evicted->back().value;
   cache_.insertNoEvict(entry, value(freq, entry.size));
   return true;
 }
@@ -154,21 +149,22 @@ PSCD_HOT PushOutcome GdsFamilyStrategy::onPush(const PushContext& ctx) {
   entry.version = ctx.version;
   entry.size = ctx.size;
   entry.subCount = ctx.subCount;
-  return {insert(entry)};
+  return {insert(entry, effectiveAccessCount(entry))};
 }
 
 PSCD_HOT RequestOutcome GdsFamilyStrategy::onRequest(
     const RequestContext& ctx) {
   RequestOutcome out;
-  noteAccess(ctx.page);
+  // One probe of the history and one of the cache serve a hit.
+  const std::uint32_t history = noteAccess(ctx.page);
   if (const auto* cached = cache_.find(ctx.page)) {
     if (cached->version == ctx.latestVersion) {
       // Hit: bump f(p) and re-evaluate with the current inflation value.
-      const auto& entry = cache_.recordAccess(ctx.page, ctx.now);
+      const auto& entry = cache_.recordAccess(*cached, ctx.now);
+      const std::uint32_t accesses =
+          config_.persistentAccessCounts ? history : entry.accessCount;
       cache_.updateValue(
-          ctx.page,
-          value(frequency(entry.subCount, effectiveAccessCount(entry)),
-                entry.size));
+          entry, value(frequency(entry.subCount, accesses), entry.size));
       out.hit = true;
       return out;
     }
@@ -185,7 +181,8 @@ PSCD_HOT RequestOutcome GdsFamilyStrategy::onRequest(
   entry.subCount = ctx.subCount;
   ++entry.accessCount;
   entry.lastAccess = ctx.now;
-  out.storedAfterMiss = insert(entry);
+  out.storedAfterMiss = insert(
+      entry, config_.persistentAccessCounts ? history : entry.accessCount);
   return out;
 }
 

@@ -16,10 +16,10 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 
 #include "pscd/cache/strategy.h"
 #include "pscd/cache/value_cache.h"
+#include "pscd/util/flat_map.h"
 
 namespace pscd {
 
@@ -90,13 +90,15 @@ class GdsFamilyStrategy final : public DistributionStrategy {
 
   double frequency(std::uint32_t subCount, std::uint32_t accessCount) const;
   double value(double frequency, Bytes size) const;
-  void noteEvictions(const std::vector<ValueCache::StoredEntry>& evicted);
   /// Inserts honoring the admission mode; updates L from evictions.
-  bool insert(const CacheEntry& entry);
+  /// `accessCount` is the access count the evaluation function sees.
+  bool insert(const CacheEntry& entry, std::uint32_t accessCount);
   /// Access count seen by the evaluation function (persistent or
   /// in-cache depending on the configuration).
   std::uint32_t effectiveAccessCount(const CacheEntry& entry) const;
-  void noteAccess(PageId page);
+  /// Counts one request for `page` in the persistent history; returns the
+  /// updated count (0 when the history is off).
+  std::uint32_t noteAccess(PageId page);
 
   GdsFamilyConfig config_;
   double fetchCost_;
@@ -104,7 +106,7 @@ class GdsFamilyStrategy final : public DistributionStrategy {
   double inflation_ = 0.0;  // L
   /// Persistent access history (only populated when
   /// config_.persistentAccessCounts is set).
-  std::unordered_map<PageId, std::uint32_t> accessHistory_;
+  FlatMap<std::uint32_t> accessHistory_;
 };
 
 }  // namespace pscd

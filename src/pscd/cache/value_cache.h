@@ -7,17 +7,22 @@
 
 #include <functional>
 #include <optional>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "pscd/cache/entry.h"
+#include "pscd/util/flat_map.h"
 #include "pscd/util/types.h"
 
 namespace pscd {
 
 /// Value-ordered cache. Mutations that affect ordering go through
 /// updateValue(); entries are exposed read-only.
+///
+/// Entries live in a dense slot array with a page -> slot FlatMap; a
+/// 4-ary min-heap over (value, page) orders them for eviction, and each
+/// slot records its heap position so a re-key sifts in place. A re-key
+/// never moves a slot: a find() or recordAccess() result stays valid
+/// until the next insert or erase.
 class ValueCache {
  public:
   struct StoredEntry : CacheEntry {
@@ -35,7 +40,7 @@ class ValueCache {
   /// The new capacity must not be below the currently used bytes.
   void setCapacity(Bytes capacity);
 
-  bool contains(PageId page) const { return entries_.contains(page); }
+  bool contains(PageId page) const { return slotOf_.contains(page); }
 
   /// nullptr when the page is not cached.
   const StoredEntry* find(PageId page) const;
@@ -61,11 +66,16 @@ class ValueCache {
 
   /// Re-keys an existing page's ordering value.
   void updateValue(PageId page, double value);
+  /// The same for an entry obtained from find() or recordAccess(),
+  /// without a second lookup.
+  void updateValue(const StoredEntry& cached, double value);
 
   /// Bumps the access bookkeeping of a cached page (accessCount +1,
   /// lastAccess = now). Ordering is unchanged; call updateValue() after
   /// recomputing the value. Returns the updated entry.
   const StoredEntry& recordAccess(PageId page, SimTime now);
+  /// The same for an entry obtained from find(), without a second lookup.
+  const StoredEntry& recordAccess(const StoredEntry& cached, SimTime now);
 
   /// Smallest value currently cached; requires a non-empty cache.
   double minValue() const;
@@ -75,24 +85,44 @@ class ValueCache {
   /// fn must not mutate the cache.
   void forEach(const std::function<void(const StoredEntry&)>& fn) const;
 
-  /// Applies fn to every entry in ascending value order; stops early when
-  /// fn returns false.
+  /// Applies fn to every entry in ascending (value, page) order; stops
+  /// early when fn returns false. The walk is lazy: visiting k entries
+  /// costs O(k log k), not a sort of the whole cache.
   void forEachByValue(const std::function<bool(const StoredEntry&)>& fn) const;
 
-  /// Test hook: validates the internal index against the entry map.
+  /// Test hook: validates the page map and the heap against the slots.
   void checkInvariants() const;
 
  private:
   friend class InvariantCorrupter;  // test-only state corruption hook
 
-  using Key = std::pair<double, PageId>;
+  /// Heap node: the ordering key (value, page) and the slot it orders.
+  struct HeapNode {
+    double value;
+    PageId page;
+    std::uint32_t slot;
+  };
 
-  StoredEntry removeLowest(std::set<Key>::iterator it);
+  /// Strict (value, page) order; ties on value break on page id.
+  static bool before(const HeapNode& a, const HeapNode& b) {
+    return a.value < b.value || (!(b.value < a.value) && a.page < b.page);
+  }
+
+  std::uint32_t slotOf(const StoredEntry& cached) const;
+  void place(std::size_t pos, const HeapNode& node);
+  void siftUp(std::size_t pos);
+  void siftDown(std::size_t pos);
+  /// Restores heap order around `pos` after its key changed.
+  void resift(std::size_t pos);
+  StoredEntry removeSlot(std::uint32_t slot);
 
   Bytes capacity_;
   Bytes used_ = 0;
-  std::unordered_map<PageId, StoredEntry> entries_;
-  std::set<Key> index_;  // (value, page), ascending
+  std::vector<StoredEntry> entries_;      // dense slots [0, size())
+  std::vector<std::uint32_t> heapPos_;    // slot -> position in heap_
+  std::vector<HeapNode> heap_;            // 4-ary min-heap by before()
+  FlatMap<std::uint32_t> slotOf_;         // page -> slot
+  std::vector<std::uint32_t> walk_;       // scratch of tryEvictLowerThan
 };
 
 }  // namespace pscd

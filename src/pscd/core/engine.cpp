@@ -40,11 +40,11 @@ void ContentDistributionEngine::restartProxy(ProxyId proxy, bool warm) {
 
 const ContentDistributionEngine::PageState&
 ContentDistributionEngine::pageState(PageId page) const {
-  const auto it = pages_.find(page);
-  if (it == pages_.end()) {
+  const std::uint32_t* slot = pageSlot_.find(page);
+  if (slot == nullptr) {
     throw std::out_of_range("ContentDistributionEngine: unknown page");
   }
-  return it->second;
+  return pages_[*slot];
 }
 
 PSCD_HOT std::uint32_t ContentDistributionEngine::matchCount(
@@ -62,10 +62,15 @@ PSCD_HOT PublishSummary ContentDistributionEngine::publish(
   if (event.size == 0) {
     throw std::invalid_argument("publish: page size must be > 0");
   }
-  PageState& state = pages_[event.page];
+  const auto [slot, added] = pageSlot_.tryEmplace(event.page);
+  if (added) {
+    *slot = static_cast<std::uint32_t>(pages_.size());
+    pages_.emplace_back().page = event.page;
+  }
+  PageState& state = pages_[*slot];
   state.version = event.version;
   state.size = event.size;
-  state.matches = broker_.publish(attrs);
+  broker_.publish(attrs, state.matches);
 
   PublishSummary summary;
   summary.proxiesNotified = static_cast<std::uint32_t>(state.matches.size());
@@ -217,8 +222,14 @@ void ContentDistributionEngine::checkInvariants() const {
     PSCD_CHECK_EQ(proxies_[p]->capacityBytes(), config_.proxyCapacities[p])
         << "engine: proxy " << p << " capacity drifted from the config";
   }
-  // pscd-lint: allow(unordered-iter) per-page assertions, no output fold
-  for (const auto& [page, state] : pages_) {
+  PSCD_CHECK_EQ(pageSlot_.size(), pages_.size())
+      << "engine: page table and page states disagree";
+  for (std::size_t slot = 0; slot < pages_.size(); ++slot) {
+    const PageState& state = pages_[slot];
+    const PageId page = state.page;
+    const std::uint32_t* mapped = pageSlot_.find(page);
+    PSCD_CHECK(mapped != nullptr && *mapped == slot)
+        << "engine: page table misplaces page " << page;
     PSCD_CHECK_GT(state.size, 0u)
         << "engine: published page " << page << " with zero size";
     for (std::size_t i = 0; i < state.matches.size(); ++i) {

@@ -13,13 +13,13 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "pscd/cache/strategy.h"
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/pubsub/broker.h"
 #include "pscd/topology/network.h"
+#include "pscd/util/flat_map.h"
 #include "pscd/util/types.h"
 
 namespace pscd {
@@ -152,10 +152,12 @@ class ContentDistributionEngine {
 
  private:
   struct PageState {
+    PageId page = 0;
     Version version = 0;
     Bytes size = 0;
     /// Match counts from the page's most recent publish, sorted by
     /// proxy; consulted at request time for the subscription factor.
+    /// Each publish refills it in place, reusing its capacity.
     std::vector<Notification> matches;
   };
 
@@ -168,7 +170,11 @@ class ContentDistributionEngine {
   /// restart can rebuild it from scratch.
   std::vector<StrategyParams> strategyParams_;
   std::vector<std::unique_ptr<DistributionStrategy>> proxies_;
-  std::unordered_map<PageId, PageState> pages_;
+  /// One state per page ever published, in first-publish order (pages
+  /// are never dropped), found through a table because the ids are
+  /// client-chosen 32-bit values.
+  std::vector<PageState> pages_;
+  FlatMap<std::uint32_t> pageSlot_;  // page -> position in pages_
 };
 
 }  // namespace pscd

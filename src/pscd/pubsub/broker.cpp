@@ -1,6 +1,7 @@
 #include "pscd/pubsub/broker.h"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -26,17 +27,32 @@ bool Broker::unsubscribe(SubscriptionId id) {
   return engine_.removeSubscription(id);
 }
 
+PSCD_HOT const std::vector<Notification>* Broker::aggregatedList(
+    PageId page) const {
+  const std::uint32_t* slot = aggregatedSlot_.find(page);
+  return slot == nullptr ? nullptr : &aggregated_[*slot].list;
+}
+
 PSCD_HOT void Broker::subscribeAggregated(ProxyId proxy, PageId page,
                                           std::uint32_t count) {
   if (proxy >= numProxies_) {
     throw std::out_of_range("Broker::subscribeAggregated: proxy out of range");
   }
   if (count == 0) return;
-  auto& list = aggregated_[page];
+  const auto [slot, added] = aggregatedSlot_.tryEmplace(page);
+  if (added) {
+    *slot = static_cast<std::uint32_t>(aggregated_.size());
+    aggregated_.push_back({page, {}});
+  }
+  auto& list = aggregated_[*slot].list;
   const auto it = std::lower_bound(
       list.begin(), list.end(), proxy,
       [](const Notification& n, ProxyId p) { return n.proxy < p; });
   if (it != list.end() && it->proxy == proxy) {
+    if (count > std::numeric_limits<std::uint32_t>::max() - it->matchCount) {
+      throw std::overflow_error(
+          "Broker::subscribeAggregated: count would pass UINT32_MAX");
+    }
     it->matchCount += count;
   } else {
     list.insert(it, Notification{proxy, count});
@@ -50,9 +66,10 @@ PSCD_HOT std::uint32_t Broker::unsubscribeAggregated(ProxyId proxy,
     throw std::out_of_range(
         "Broker::unsubscribeAggregated: proxy out of range");
   }
-  const auto pageIt = aggregated_.find(page);
-  if (pageIt == aggregated_.end()) return 0;
-  auto& list = pageIt->second;
+  const std::uint32_t* slot = aggregatedSlot_.find(page);
+  if (slot == nullptr) return 0;
+  const std::uint32_t at = *slot;
+  auto& list = aggregated_[at].list;
   const auto it = std::lower_bound(
       list.begin(), list.end(), proxy,
       [](const Notification& n, ProxyId p) { return n.proxy < p; });
@@ -61,31 +78,41 @@ PSCD_HOT std::uint32_t Broker::unsubscribeAggregated(ProxyId proxy,
   it->matchCount -= removed;
   if (it->matchCount == 0) list.erase(it);
   // Drop the page entry entirely once its list drains so churn-heavy
-  // workloads do not accumulate empty lists.
-  if (list.empty()) aggregated_.erase(pageIt);
+  // workloads do not accumulate empty lists; the last page fills the gap.
+  if (list.empty()) {
+    aggregatedSlot_.erase(page);
+    if (at + 1 != aggregated_.size()) {
+      aggregated_[at] = std::move(aggregated_.back());
+      *aggregatedSlot_.find(aggregated_[at].page) = at;
+    }
+    aggregated_.pop_back();
+  }
   return removed;
 }
 
 PSCD_HOT std::uint32_t Broker::aggregatedCount(ProxyId proxy,
                                                PageId page) const {
-  const auto pageIt = aggregated_.find(page);
-  if (pageIt == aggregated_.end()) return 0;
-  const auto& list = pageIt->second;
+  const std::vector<Notification>* list = aggregatedList(page);
+  if (list == nullptr) return 0;
   const auto it = std::lower_bound(
-      list.begin(), list.end(), proxy,
+      list->begin(), list->end(), proxy,
       [](const Notification& n, ProxyId p) { return n.proxy < p; });
-  return (it != list.end() && it->proxy == proxy) ? it->matchCount : 0;
+  return (it != list->end() && it->proxy == proxy) ? it->matchCount : 0;
 }
 
-PSCD_HOT std::vector<Notification> Broker::publish(
-    const ContentAttributes& attrs) {
-  ++publishCount_;
-  // pscd-lint: allow(alloc-in-hot) the notification list escapes to the caller; default construction does not allocate
+std::vector<Notification> Broker::publish(const ContentAttributes& attrs) {
   std::vector<Notification> out;
+  publish(attrs, out);
+  return out;
+}
 
-  const auto pageIt = aggregated_.find(attrs.page);
+PSCD_HOT void Broker::publish(const ContentAttributes& attrs,
+                              std::vector<Notification>& out) {
+  ++publishCount_;
+  out.clear();
+
   std::span<const Notification> page;
-  if (pageIt != aggregated_.end()) page = pageIt->second;
+  if (const auto* list = aggregatedList(attrs.page)) page = *list;
 
   if (engine_.size() == 0) {
     out.assign(page.begin(), page.end());
@@ -112,13 +139,17 @@ PSCD_HOT std::vector<Notification> Broker::publish(
   }
 
   for (const auto& n : out) notificationCount_ += n.matchCount;
-  return out;
 }
 
 void Broker::checkInvariants() const {
   engine_.checkInvariants();
-  // pscd-lint: allow(unordered-iter) per-page assertions, no output fold
-  for (const auto& [page, list] : aggregated_) {
+  PSCD_CHECK_EQ(aggregatedSlot_.size(), aggregated_.size())
+      << "Broker: aggregation table and lists disagree";
+  for (std::size_t slot = 0; slot < aggregated_.size(); ++slot) {
+    const auto& [page, list] = aggregated_[slot];
+    const std::uint32_t* mapped = aggregatedSlot_.find(page);
+    PSCD_CHECK(mapped != nullptr && *mapped == slot)
+        << "Broker: aggregation table misplaces page " << page;
     PSCD_CHECK(!list.empty())
         << "Broker: empty aggregation list kept for page " << page;
     ProxyId prev = 0;

@@ -7,12 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "pscd/pubsub/attributes.h"
 #include "pscd/pubsub/matcher.h"
 #include "pscd/pubsub/subscription.h"
+#include "pscd/util/flat_map.h"
 #include "pscd/util/types.h"
 
 namespace pscd {
@@ -39,6 +39,8 @@ class Broker {
   /// Registers `count` end-user subscriptions at `proxy` that match
   /// exactly page `page`; counts accumulate across calls. This is the
   /// aggregated form a proxy's subscription aggregator reports upstream.
+  /// Throws std::overflow_error, changing nothing, when the accumulated
+  /// count would exceed UINT32_MAX.
   void subscribeAggregated(ProxyId proxy, PageId page, std::uint32_t count);
 
   /// Removes up to `count` aggregated subscriptions (clamping at zero);
@@ -50,6 +52,8 @@ class Broker {
   /// per-proxy notification list sorted by proxy id (proxies with zero
   /// matches are omitted). Updates fan-out statistics.
   std::vector<Notification> publish(const ContentAttributes& attrs);
+  /// The same, refilling `out` in place so its capacity is reused.
+  void publish(const ContentAttributes& attrs, std::vector<Notification>& out);
 
   /// Total subscriptions matching `page` at `proxy` via the aggregated
   /// path (the predicate path is dynamic and not included).
@@ -70,8 +74,18 @@ class Broker {
 
   std::uint32_t numProxies_;
   MatchingEngine engine_;
-  // page -> (proxy -> count), kept sorted by proxy id.
-  std::unordered_map<PageId, std::vector<Notification>> aggregated_;
+  /// One page's aggregated (proxy -> count) list, sorted by proxy id.
+  struct PageSubs {
+    PageId page = 0;
+    std::vector<Notification> list;
+  };
+  /// The pages with aggregated subscriptions, dense: a page whose list
+  /// drains is swapped out with the last one.
+  std::vector<PageSubs> aggregated_;
+  FlatMap<std::uint32_t> aggregatedSlot_;  // page -> position in aggregated_
+
+  /// nullptr when `page` has no aggregated subscriptions.
+  const std::vector<Notification>* aggregatedList(PageId page) const;
   std::uint64_t publishCount_ = 0;
   std::uint64_t notificationCount_ = 0;
 };

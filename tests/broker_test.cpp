@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace pscd {
 namespace {
 
@@ -18,6 +21,50 @@ TEST(BrokerTest, AggregatedCountsAccumulate) {
   EXPECT_EQ(b.aggregatedCount(1, 10), 5u);
   EXPECT_EQ(b.aggregatedCount(0, 10), 0u);
   EXPECT_EQ(b.aggregatedCount(1, 11), 0u);
+}
+
+TEST(BrokerTest, AggregatedCountOverflowThrowsWithoutChange) {
+  Broker b(2);
+  b.subscribeAggregated(1, 9, 0xFFFFFFFFu);
+  EXPECT_THROW(b.subscribeAggregated(1, 9, 1), std::overflow_error);
+  EXPECT_EQ(b.aggregatedCount(1, 9), 0xFFFFFFFFu);
+  b.subscribeAggregated(0, 9, 0xFFFFFFFFu);  // another proxy's own count
+  b.checkInvariants();
+  const auto n = b.publish(pageAttrs(9));
+  ASSERT_EQ(n.size(), 2u);
+  EXPECT_EQ(n[0], (Notification{0, 0xFFFFFFFFu}));
+  EXPECT_EQ(n[1], (Notification{1, 0xFFFFFFFFu}));
+}
+
+TEST(BrokerTest, DrainedPageLeavesOtherPagesIntact) {
+  Broker b(3);
+  b.subscribeAggregated(0, 1, 2);
+  b.subscribeAggregated(1, 2, 3);
+  b.subscribeAggregated(2, 3, 4);
+  EXPECT_EQ(b.unsubscribeAggregated(0, 1, 5), 2u);  // page 1 drains
+  b.checkInvariants();
+  EXPECT_EQ(b.aggregatedCount(0, 1), 0u);
+  EXPECT_EQ(b.aggregatedCount(1, 2), 3u);
+  EXPECT_EQ(b.aggregatedCount(2, 3), 4u);
+  EXPECT_TRUE(b.publish(pageAttrs(1)).empty());
+  EXPECT_EQ(b.publish(pageAttrs(3)), (std::vector<Notification>{{2, 4}}));
+  b.subscribeAggregated(0, 1, 1);
+  EXPECT_EQ(b.unsubscribeAggregated(2, 3, 4), 4u);  // the last page drains
+  b.checkInvariants();
+  EXPECT_EQ(b.aggregatedCount(0, 1), 1u);
+  EXPECT_EQ(b.aggregatedCount(1, 2), 3u);
+}
+
+TEST(BrokerTest, PublishRefillsTheCallersVector) {
+  Broker b(3);
+  b.subscribeAggregated(2, 4, 5);
+  std::vector<Notification> out = {{0, 1}, {1, 1}, {2, 1}};
+  b.publish(pageAttrs(4), out);
+  EXPECT_EQ(out, (std::vector<Notification>{{2, 5}}));
+  b.publish(pageAttrs(6), out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(b.publishCount(), 2u);
+  EXPECT_EQ(b.notificationCount(), 5u);
 }
 
 TEST(BrokerTest, ZeroCountIgnored) {

@@ -29,11 +29,13 @@ namespace pscd {
 class InvariantCorrupter {
  public:
   static void driftUsedBytes(ValueCache& c) { ++c.used_; }
-  static void desyncIndexValue(ValueCache& c) {
-    c.entries_.begin()->second.value += 1.0;  // index_ not re-keyed
+  static void desyncHeapKey(ValueCache& c) {
+    c.entries_.front().value += 1.0;  // heap node not re-keyed
   }
-  static void dropIndexEntry(ValueCache& c) {
-    c.index_.erase(c.index_.begin());
+  static void dropHeapNode(ValueCache& c) { c.heap_.pop_back(); }
+  static void driftHeapPosition(ValueCache& c) {
+    // Two slots point at each other's heap nodes (sizes stay equal).
+    std::swap(c.heapPos_[0], c.heapPos_[1]);
   }
 
   static void driftUsedBytes(DualMethodsStrategy& s) { ++s.used_; }
@@ -52,7 +54,7 @@ class InvariantCorrupter {
   static void driftDeadPostings(MatchingEngine& m) { ++m.deadPostings_; }
 
   static void unsortAggregation(Broker& b) {
-    auto& list = b.aggregated_.begin()->second;
+    auto& list = b.aggregated_.front().list;
     ASSERT_GE(list.size(), 2u);
     std::swap(list.front(), list.back());
   }
@@ -98,13 +100,19 @@ TEST(ValueCacheInvariantsTest, DetectsByteAccountingDrift) {
 
 TEST(ValueCacheInvariantsTest, DetectsStaleIndexKey) {
   ValueCache c = populatedCache();
-  InvariantCorrupter::desyncIndexValue(c);
+  InvariantCorrupter::desyncHeapKey(c);
   EXPECT_THROW(c.checkInvariants(), CheckFailure);
 }
 
 TEST(ValueCacheInvariantsTest, DetectsMissingIndexEntry) {
   ValueCache c = populatedCache();
-  InvariantCorrupter::dropIndexEntry(c);
+  InvariantCorrupter::dropHeapNode(c);
+  EXPECT_THROW(c.checkInvariants(), CheckFailure);
+}
+
+TEST(ValueCacheInvariantsTest, DetectsHeapPositionDrift) {
+  ValueCache c = populatedCache();
+  InvariantCorrupter::driftHeapPosition(c);
   EXPECT_THROW(c.checkInvariants(), CheckFailure);
 }
 

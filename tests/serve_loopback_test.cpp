@@ -230,6 +230,24 @@ TEST_F(ServeLoopbackTest, ErrorResponsesKeepTheConnectionAlive) {
   EXPECT_EQ(host_->daemon().stats().decodeErrors, 0u);
 }
 
+TEST_F(ServeLoopbackTest, SubscribeCountOverflowAnswersErrorAndKeepsTheCount) {
+  StartHost(StrategyKind::kSG2);
+  WireClient client = connect();
+  ASSERT_TRUE(client.subscribe(0, 5, 0xFFFFFFFFu).ok());
+  // A further add would wrap the stored count to 0: it is refused...
+  EXPECT_FALSE(client.subscribe(0, 5, 1).ok());
+  // ...the connection lives on, and the saturated count still notifies.
+  const ResponseBody push = client.publish(5, 1, 64);
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(push.pages, 1u);
+  EXPECT_TRUE(client.subscribe(1, 5, 1).ok());
+
+  StopHost();
+  EXPECT_EQ(host_->daemon().stats().errorResponses, 1u);
+  EXPECT_EQ(host_->service().broker().aggregatedCount(0, 5), 0xFFFFFFFFu);
+  host_->service().engine().checkInvariants();
+}
+
 TEST_F(ServeLoopbackTest, GarbageBytesCloseOnlyThatConnection) {
   StartHost();
   WireClient bad = connect();

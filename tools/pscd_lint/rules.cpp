@@ -70,12 +70,16 @@ DeclInfo collectDecls(const Tokens& toks) {
   for (int i = 0; i < n; ++i) {
     const Token& t = toks[i];
     if (t.kind != Token::Kind::kIdent) continue;
+    // pscd::FlatMap (util/flat_map.h) iterates in hash order and
+    // value-initializes on operator[], exactly like unordered_map.
     const bool isUnorderedType =
         t.text == "unordered_map" || t.text == "unordered_set" ||
-        t.text == "unordered_multimap" || t.text == "unordered_multiset";
+        t.text == "unordered_multimap" || t.text == "unordered_multiset" ||
+        t.text == "FlatMap";
     const bool isMapType = t.text == "unordered_map" ||
                            t.text == "unordered_multimap" ||
-                           t.text == "map" || t.text == "multimap";
+                           t.text == "map" || t.text == "multimap" ||
+                           t.text == "FlatMap";
     if ((isUnorderedType || isMapType) && i + 1 < n &&
         isPunct(toks[i + 1], "<")) {
       int j = skipTemplateArgs(toks, i + 1);
@@ -903,8 +907,8 @@ const std::vector<Rule>& ruleRegistry() {
        "streams via split() or cellSeed())",
        anywhere, checkRandomSource},
       {"unordered-iter", "determinism",
-       "iteration over std::unordered_map/set in src/pscd/ code that writes "
-       "to streams, CSV sinks, or metrics",
+       "iteration over std::unordered_map/set or pscd::FlatMap in src/pscd/ "
+       "code that writes to streams, CSV sinks, or metrics",
        "collect keys and sort them, keep an ordered mirror index, or prove "
        "the fold is commutative and suppress with a justification",
        inCoreOrLintTool, checkUnorderedIter},
@@ -954,7 +958,8 @@ const std::vector<Rule>& ruleRegistry() {
        "is unknowable, suppress with the reason",
        anywhere, checkGrowWithoutReserve},
       {"map-bracket-insert", "performance",
-       "map/unordered_map operator[] in a loop inside a PSCD_HOT body",
+       "map/unordered_map/FlatMap operator[] in a loop inside a PSCD_HOT "
+       "body",
        "operator[] default-constructs the mapped value on every miss; "
        "use find()/try_emplace() once and reuse the iterator",
        anywhere, checkMapBracketInsert},
