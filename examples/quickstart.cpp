@@ -41,13 +41,13 @@ int main() {
   attrs.page = 42;
   attrs.category = 1;
   attrs.keywords = {7, 9};
-  const PublishSummary pub =
+  const PushDelivery pub =
       engine.publish(PublishEvent{.time = 10.0, .page = 42, .version = 0,
                                   .size = 48 * 1024},
                      attrs);
   std::printf("publish: %u proxies notified, %u stored, %llu pages pushed\n",
               pub.proxiesNotified, pub.proxiesStored,
-              static_cast<unsigned long long>(pub.pagesTransferred));
+              static_cast<unsigned long long>(pub.pages));
 
   // 5. Requests: subscribers read from their local proxy cache; an
   //    unsubscribed proxy has to fetch from the publisher.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "pscd/core/fault_policy.h"
 #include "pscd/util/check.h"
 #include "pscd/util/hot.h"
 
@@ -56,9 +57,9 @@ PSCD_HOT std::uint32_t ContentDistributionEngine::matchCount(
                                                            : 0;
 }
 
-PSCD_HOT PublishSummary ContentDistributionEngine::publish(
+PSCD_HOT PushDelivery ContentDistributionEngine::publish(
     const PublishEvent& event, const ContentAttributes& attrs,
-    const PushFaults* faults) {
+    FaultPolicy* faults) {
   if (event.size == 0) {
     throw std::invalid_argument("publish: page size must be > 0");
   }
@@ -72,19 +73,20 @@ PSCD_HOT PublishSummary ContentDistributionEngine::publish(
   state.size = event.size;
   broker_.publish(attrs, state.matches);
 
-  PublishSummary summary;
-  summary.proxiesNotified = static_cast<std::uint32_t>(state.matches.size());
+  PushDelivery d;
+  d.time = event.time;
+  d.proxiesNotified = static_cast<std::uint32_t>(state.matches.size());
   for (const Notification& n : state.matches) {
     DistributionStrategy& strat = *proxies_[n.proxy];
     if (!strat.pushCapable()) continue;
-    if (faults != nullptr && faults->lost && faults->lost(n.proxy)) {
+    if (faults != nullptr && faults->pushLost(n.proxy)) {
       // The push never reaches the proxy. Under Always-Pushing the
       // publisher sent the bytes anyway (wasted transfer, accounted as
       // lost); under Pushing-When-Necessary the meta-exchange already
       // failed, so nothing was sent.
       if (config_.pushScheme == PushScheme::kAlwaysPushing) {
-        ++summary.pagesLost;
-        summary.bytesLost += event.size;
+        ++d.pagesLost;
+        d.bytesLost += event.size;
       }
       continue;
     }
@@ -95,21 +97,21 @@ PSCD_HOT PublishSummary ContentDistributionEngine::publish(
     ctx.subCount = n.matchCount;
     ctx.now = event.time;
     const PushOutcome out = strat.onPush(ctx);
-    if (out.stored) ++summary.proxiesStored;
+    if (out.stored) ++d.proxiesStored;
     // Always-Pushing transfers the page to every notified proxy;
     // Pushing-When-Necessary transfers only when the proxy stores it.
     const bool transferred =
         config_.pushScheme == PushScheme::kAlwaysPushing || out.stored;
     if (transferred) {
-      ++summary.pagesTransferred;
-      summary.bytesTransferred += event.size;
+      ++d.pages;
+      d.bytes += event.size;
     }
   }
-  return summary;
+  return d;
 }
 
-PublishSummary ContentDistributionEngine::publish(const PublishEvent& event,
-                                                  const PushFaults* faults) {
+PushDelivery ContentDistributionEngine::publish(const PublishEvent& event,
+                                                FaultPolicy* faults) {
   ContentAttributes attrs;
   attrs.page = event.page;
   return publish(event, attrs, faults);
@@ -117,48 +119,47 @@ PublishSummary ContentDistributionEngine::publish(const PublishEvent& event,
 
 namespace {
 
-/// Runs the bounded-retry fetch loop: attempts 1 + maxRetries fetches,
-/// charging one retry per failed attempt. Returns true when some
-/// attempt succeeded; `retries` receives the number of failed attempts
-/// that preceded the outcome.
-bool attemptFetch(const RequestFaults& faults, std::uint32_t& retries) {
-  retries = 0;
-  if (!faults.pathToPublisher) {
+/// Runs the bounded-retry fetch loop: up to 1 + maxRetries attempts,
+/// one fault draw each. Returns true when some attempt succeeded;
+/// `retries` receives the number of failed attempts before the outcome
+/// (maxRetries when every attempt failed).
+bool attemptFetch(FaultPolicy& faults, ProxyId proxy,
+                  std::uint32_t& retries) {
+  const std::uint32_t maxRetries = faults.config().retry.maxRetries;
+  if (!faults.pathToPublisher(proxy)) {
     // Partitioned: every attempt times out; nothing random to draw.
-    retries = faults.maxRetries;
+    retries = maxRetries;
     return false;
   }
-  for (std::uint32_t attempt = 0; attempt <= faults.maxRetries; ++attempt) {
-    const bool failed =
-        faults.fetchAttemptFails && faults.fetchAttemptFails();
-    if (!failed) return true;
-    if (attempt < faults.maxRetries) ++retries;
+  for (retries = 0;; ++retries) {
+    if (!faults.fetchAttemptFails()) return true;
+    if (retries == maxRetries) return false;
   }
-  retries = faults.maxRetries;
-  return false;
 }
 
 }  // namespace
 
-PSCD_HOT RequestSummary ContentDistributionEngine::request(
-    ProxyId proxy, PageId page, SimTime now, const RequestFaults* faults) {
+PSCD_HOT RequestDelivery ContentDistributionEngine::request(
+    ProxyId proxy, PageId page, SimTime now, FaultPolicy* faults) {
   if (proxy >= proxies_.size()) {
     throw std::out_of_range("ContentDistributionEngine: proxy out of range");
   }
   const PageState& state = pageState(page);
-  RequestSummary summary;
+  RequestDelivery d;
+  d.proxy = proxy;
+  d.time = now;
 
-  if (faults != nullptr && faults->proxyDown) {
+  if (faults != nullptr && faults->proxyDown(proxy)) {
     // The local proxy is crashed: its cache is unusable. Fail over to a
     // direct publisher fetch when allowed, otherwise the request fails.
-    if (faults->publisherFailover && attemptFetch(*faults, summary.retries)) {
-      summary.failover = true;
-      summary.bytesTransferred = state.size;
+    if (faults->config().publisherFailover &&
+        attemptFetch(*faults, proxy, d.retries)) {
+      d.failover = true;
+      d.bytesTransferred = state.size;
     } else {
-      if (!faults->publisherFailover) summary.retries = 0;
-      summary.unavailable = true;
+      d.unavailable = true;
     }
-    return summary;
+    return d;
   }
 
   if (faults != nullptr) {
@@ -168,17 +169,17 @@ PSCD_HOT RequestSummary ContentDistributionEngine::request(
     const std::optional<Version> cached =
         proxies_[proxy]->cachedVersion(page);
     const bool freshHit = cached.has_value() && *cached == state.version;
-    if (!freshHit && !attemptFetch(*faults, summary.retries)) {
+    if (!freshHit && !attemptFetch(*faults, proxy, d.retries)) {
       if (cached.has_value()) {
         // Degraded serving: hand out the stale copy rather than fail.
         // The strategy is not consulted — no bookkeeping moves, exactly
         // as if the proxy pinned the bytes it already had.
-        summary.servedStale = true;
-        summary.stale = true;
+        d.servedStale = true;
+        d.stale = true;
       } else {
-        summary.unavailable = true;
+        d.unavailable = true;
       }
-      return summary;
+      return d;
     }
   }
 
@@ -190,10 +191,10 @@ PSCD_HOT RequestSummary ContentDistributionEngine::request(
   ctx.now = now;
   const RequestOutcome out = proxies_[proxy]->onRequest(ctx);
 
-  summary.hit = out.hit;
-  summary.stale = out.stale;
-  summary.bytesTransferred = out.hit ? 0 : state.size;
-  return summary;
+  d.hit = out.hit;
+  d.stale = out.stale;
+  d.bytesTransferred = out.hit ? 0 : state.size;
+  return d;
 }
 
 Version ContentDistributionEngine::latestVersion(PageId page) const {

@@ -11,18 +11,20 @@
 // between publisher and proxies.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "pscd/cache/strategy.h"
 #include "pscd/cache/strategy_factory.h"
+#include "pscd/core/runtime.h"
 #include "pscd/pubsub/broker.h"
 #include "pscd/topology/network.h"
 #include "pscd/util/flat_map.h"
 #include "pscd/util/types.h"
 
 namespace pscd {
+
+class FaultPolicy;
 
 /// How pushed content travels from the publisher to a proxy (section
 /// 5.6). Always-Pushing transfers every matched page; Pushing-When-
@@ -41,58 +43,6 @@ struct EngineConfig {
   std::vector<Bytes> proxyCapacities;
 };
 
-/// Accounting of one publish event.
-struct PublishSummary {
-  std::uint32_t proxiesNotified = 0;  // proxies with >= 1 match
-  std::uint32_t proxiesStored = 0;    // proxies that stored the page
-  std::uint64_t pagesTransferred = 0;
-  Bytes bytesTransferred = 0;
-  /// Pushes that never arrived (down proxy, partition, or in-flight
-  /// loss); always 0 on the fault-free path.
-  std::uint64_t pagesLost = 0;
-  Bytes bytesLost = 0;
-};
-
-/// Accounting of one request.
-struct RequestSummary {
-  bool hit = false;
-  bool stale = false;  // a stale copy was cached at request time
-  /// Publisher -> proxy bytes (page size on a miss, 0 on a hit).
-  Bytes bytesTransferred = 0;
-  /// Failure-layer accounting; all zero/false on the fault-free path.
-  std::uint32_t retries = 0;   // failed fetch attempts that were retried
-  bool servedStale = false;    // degraded: stale cache copy served after
-                               // the publisher fetch failed
-  bool failover = false;       // served via direct publisher fetch while
-                               // the local proxy was down
-  bool unavailable = false;    // the request could not be served at all
-};
-
-/// Per-publish fault decisions supplied by the failure layer. lost() is
-/// called once per notified push-capable proxy, in ascending proxy
-/// order (the determinism contract: any randomness inside must be
-/// consumed in exactly that order).
-struct PushFaults {
-  std::function<bool(ProxyId)> lost;
-};
-
-/// Per-request fault decisions supplied by the failure layer.
-struct RequestFaults {
-  /// The local proxy process is down (crashed, not yet restarted).
-  bool proxyDown = false;
-  /// A residual network path publisher -> proxy exists.
-  bool pathToPublisher = true;
-  /// Serve a down proxy's users straight from the publisher when
-  /// possible instead of failing the request.
-  bool publisherFailover = true;
-  /// Bounded-retry budget for failed fetch attempts.
-  std::uint32_t maxRetries = 0;
-  /// One Bernoulli draw per fetch attempt; true = the attempt failed.
-  /// Consulted only when pathToPublisher (partitions fail without
-  /// drawing). Null means attempts never fail randomly.
-  std::function<bool()> fetchAttemptFails;
-};
-
 class ContentDistributionEngine {
  public:
   /// The network defines the proxy count and fetch costs; capacities in
@@ -107,29 +57,32 @@ class ContentDistributionEngine {
   }
 
   /// Publishes a page version: matches it against all subscriptions and
-  /// runs the push-time placement at every notified proxy. With
-  /// `faults`, pushes reported lost never reach the proxy (no store, no
-  /// transfer; under Always-Pushing the wasted publisher->proxy bytes
-  /// are accounted as lost).
-  PublishSummary publish(const PublishEvent& event,
-                         const ContentAttributes& attrs,
-                         const PushFaults* faults = nullptr);
+  /// runs the push-time placement at every notified proxy. The answer
+  /// is stamped with event.time. With `faults`, pushes it reports lost
+  /// never reach the proxy (no store, no transfer; under Always-Pushing
+  /// the wasted publisher->proxy bytes are accounted as lost).
+  PushDelivery publish(const PublishEvent& event,
+                       const ContentAttributes& attrs,
+                       FaultPolicy* faults = nullptr);
 
   /// Convenience overload using page-id-only attributes.
-  PublishSummary publish(const PublishEvent& event,
-                         const PushFaults* faults = nullptr);
+  PushDelivery publish(const PublishEvent& event,
+                       FaultPolicy* faults = nullptr);
 
-  /// A user attached to `proxy` requests `page`. The page must have been
-  /// published before (throws std::out_of_range otherwise).
+  /// A user attached to `proxy` requests `page`. The proxy must be in
+  /// range and the page published before (std::out_of_range otherwise,
+  /// checked before anything else). responseTimeMs is left 0 for the
+  /// caller to price.
   ///
   /// With `faults`, the failure-recovery path runs: a down proxy fails
   /// over to a direct publisher fetch (when allowed and a path exists);
-  /// a miss retries failed fetches up to maxRetries times; an abandoned
-  /// fetch serves a stale cached copy when one exists (degraded, cache
-  /// state untouched) and fails otherwise. Without `faults` the
-  /// behaviour is bit-identical to the pre-failure-layer engine.
-  RequestSummary request(ProxyId proxy, PageId page, SimTime now,
-                         const RequestFaults* faults = nullptr);
+  /// a miss retries failed fetches up to the policy's maxRetries; an
+  /// abandoned fetch serves a stale cached copy when one exists
+  /// (degraded, cache state untouched) and fails otherwise. Without
+  /// `faults` the behaviour is bit-identical to the pre-failure-layer
+  /// engine.
+  RequestDelivery request(ProxyId proxy, PageId page, SimTime now,
+                          FaultPolicy* faults = nullptr);
 
   /// Crash/restart model: a cold restart (warm = false) replaces the
   /// proxy's strategy with a freshly constructed one, wiping the cache

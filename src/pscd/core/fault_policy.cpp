@@ -20,15 +20,13 @@ FaultPolicy::FaultPolicy(const FaultConfig& config, const Network& network)
       linkState_(network),
       rng_(lossStreamSeed(config.seed)) {}
 
-void FaultPolicy::apply(const FaultEvent& event,
-                        ContentDistributionEngine& engine) {
+void FaultPolicy::apply(const FaultEvent& event) {
   switch (event.kind) {
     case FaultEventKind::kProxyDown:
       linkState_.setProxyDown(event.proxy);
       break;
     case FaultEventKind::kProxyUp:
       linkState_.setProxyUp(event.proxy);
-      engine.restartProxy(event.proxy, config_.warmRestart);
       break;
     case FaultEventKind::kLinkDown:
       linkState_.setLinkDown(event.linkA, event.linkB);
@@ -39,29 +37,17 @@ void FaultPolicy::apply(const FaultEvent& event,
   }
 }
 
-PushFaults FaultPolicy::pushFaults() {
+bool FaultPolicy::pushLost(ProxyId proxy) {
+  if (linkState_.proxyDown(proxy) || !linkState_.pathToPublisher(proxy)) {
+    return true;
+  }
   const double lossP = config_.pushLossProbability;
-  PushFaults pf;
-  pf.lost = [this, lossP](ProxyId p) {
-    if (linkState_.proxyDown(p) || !linkState_.pathToPublisher(p)) {
-      return true;
-    }
-    return lossP > 0.0 && rng_.bernoulli(lossP);
-  };
-  return pf;
+  return lossP > 0.0 && rng_.bernoulli(lossP);
 }
 
-RequestFaults FaultPolicy::requestFaults(ProxyId proxy) {
-  RequestFaults rf;
-  rf.proxyDown = linkState_.proxyDown(proxy);
-  rf.pathToPublisher = linkState_.pathToPublisher(proxy);
-  rf.publisherFailover = config_.publisherFailover;
-  rf.maxRetries = config_.retry.maxRetries;
+bool FaultPolicy::fetchAttemptFails() {
   const double failP = config_.fetchFailureProbability;
-  if (failP > 0.0) {
-    rf.fetchAttemptFails = [this, failP]() { return rng_.bernoulli(failP); };
-  }
-  return rf;
+  return failP > 0.0 && rng_.bernoulli(failP);
 }
 
 }  // namespace pscd

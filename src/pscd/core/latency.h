@@ -11,15 +11,6 @@ struct LatencyModel {
   double localLatencyMs = 5.0;
   double remoteLatencyMsPerUnit = 100.0;
 
-  /// Response time of a request served locally (hit or stale serve).
-  double localMs() const { return localLatencyMs; }
-
-  /// Response time of a request that fetched fresh bytes over a path
-  /// with the given normalized fetch cost.
-  double fetchMs(double fetchCost) const {
-    return localLatencyMs + remoteLatencyMsPerUnit * fetchCost;
-  }
-
   /// Throws CheckFailure unless both parameters are finite and >= 0.
   void validate() const;
 };

@@ -15,17 +15,24 @@
 
 namespace pscd {
 
-/// One publish event's deliveries, publisher -> all notified proxies.
-/// Lost pages/bytes are always 0 when the failure layer is off.
+/// The answer to one publish: its fan-out and the deliveries publisher
+/// -> notified proxies. Lost pages/bytes are always 0 when the failure
+/// layer is off.
 struct PushDelivery {
   SimTime time = 0.0;
-  std::uint64_t pages = 0;
+  std::uint32_t proxiesNotified = 0;  // proxies with >= 1 match
+  std::uint32_t proxiesStored = 0;    // proxies that stored the page
+  std::uint64_t pages = 0;            // pages transferred
   Bytes bytes = 0;
+  /// Pushes that never arrived (down proxy, partition, or in-flight
+  /// loss) but whose bytes the publisher sent anyway.
   std::uint64_t pagesLost = 0;
   Bytes bytesLost = 0;
+
+  friend bool operator==(const PushDelivery&, const PushDelivery&) = default;
 };
 
-/// One request's outcome as seen by the user attached to `proxy`.
+/// The answer to one request, as seen by the user attached to `proxy`.
 /// The failure-layer fields (retries/servedStale/failover/unavailable)
 /// are all zero/false when the failure layer is off; an unavailable
 /// request has no response and responseTimeMs is 0.
@@ -33,13 +40,17 @@ struct RequestDelivery {
   ProxyId proxy = 0;
   SimTime time = 0.0;
   bool hit = false;
-  bool stale = false;
+  bool stale = false;  // a stale copy was cached at request time
+  /// Publisher -> proxy bytes (page size on a miss or a failover).
   Bytes bytesTransferred = 0;
   double responseTimeMs = 0.0;
-  std::uint32_t retries = 0;
-  bool servedStale = false;
-  bool failover = false;
-  bool unavailable = false;
+  std::uint32_t retries = 0;  // failed fetch attempts that were retried
+  bool servedStale = false;   // stale copy served after the fetch failed
+  bool failover = false;      // fetched from the publisher, proxy down
+  bool unavailable = false;   // the request could not be served at all
+
+  friend bool operator==(const RequestDelivery&,
+                         const RequestDelivery&) = default;
 };
 
 /// Source of "now" for decision logic. The driver owns time: the

@@ -13,21 +13,23 @@ DistributionService::DistributionService(const Network& network,
       clock_(clock),
       sink_(sink),
       latency_(config.latency),
-      faults_(config.faults),
       engine_(network, std::move(config.engine)) {
   latency_.validate();
-  faults_.validate();
-  if (faults_.enabled()) {
-    plan_ = buildFaultPlan(faults_, network, config.faultHorizon);
+  config.faults.validate();
+  if (config.faults.enabled()) {
+    plan_ = buildFaultPlan(config.faults, network, config.faultHorizon);
     if (config.validateFaultPlan) plan_.checkInvariants(network);
-    policy_.emplace(faults_, network);
+    policy_ = std::make_unique<FaultPolicy>(config.faults, network);
   }
 }
 
 void DistributionService::handleFault(const FaultEvent& event) {
-  PSCD_CHECK(policy_.has_value())
+  PSCD_CHECK(policy_ != nullptr)
       << "DistributionService: fault event with the failure layer off";
-  policy_->apply(event, engine_);
+  policy_->apply(event);
+  if (event.kind == FaultEventKind::kProxyUp) {
+    engine_.restartProxy(event.proxy, policy_->config().warmRestart);
+  }
 }
 
 void DistributionService::handleChurn(ProxyId proxy, PageId fromPage,
@@ -36,59 +38,34 @@ void DistributionService::handleChurn(ProxyId proxy, PageId fromPage,
   engine_.broker().subscribeAggregated(proxy, toPage, 1);
 }
 
-void DistributionService::handlePublish(const PublishEvent& event) {
-  PushDelivery d;
+PushDelivery DistributionService::handlePublish(const PublishEvent& event) {
+  PushDelivery d = engine_.publish(event, policy_.get());
   d.time = clock_.now();
-  if (!policy_) {
-    const PublishSummary s = engine_.publish(event);
-    d.pages = s.pagesTransferred;
-    d.bytes = s.bytesTransferred;
-  } else {
-    PushFaults pf = policy_->pushFaults();
-    const PublishSummary s = engine_.publish(event, &pf);
-    d.pages = s.pagesTransferred;
-    d.bytes = s.bytesTransferred;
-    d.pagesLost = s.pagesLost;
-    d.bytesLost = s.bytesLost;
-  }
   sink_.onPush(d);
+  return d;
 }
 
-void DistributionService::handleRequest(ProxyId proxy, PageId page) {
-  RequestDelivery d;
-  d.proxy = proxy;
-  d.time = clock_.now();
-  if (!policy_) {
-    const RequestSummary s = engine_.request(proxy, page, d.time);
-    d.hit = s.hit;
-    d.stale = s.stale;
-    d.bytesTransferred = s.bytesTransferred;
-    d.responseTimeMs = s.hit ? latency_.localMs()
-                             : latency_.fetchMs(network_.fetchCost(proxy));
-  } else {
-    RequestFaults rf = policy_->requestFaults(proxy);
-    const RequestSummary s = engine_.request(proxy, page, d.time, &rf);
-    d.hit = s.hit;
-    d.stale = s.stale;
-    d.bytesTransferred = s.bytesTransferred;
-    d.retries = s.retries;
-    d.servedStale = s.servedStale;
-    d.failover = s.failover;
-    d.unavailable = s.unavailable;
-    // Served requests pay the local hop, the residual-path publisher
-    // round trip when fresh bytes were fetched (miss or failover), and
-    // the backoff of every failed attempt. An unavailable request has
-    // no response time.
-    if (!s.unavailable) {
-      d.responseTimeMs =
-          latency_.localMs() + faults_.retry.totalBackoffMs(s.retries);
-      if (!s.hit && !s.servedStale) {
-        d.responseTimeMs += latency_.remoteLatencyMsPerUnit *
-                            policy_->fetchCost(proxy);
-      }
+RequestDelivery DistributionService::handleRequest(ProxyId proxy,
+                                                   PageId page) {
+  RequestDelivery d =
+      engine_.request(proxy, page, clock_.now(), policy_.get());
+  // A served request pays the local hop, the backoff of every failed
+  // fetch attempt, and — when fresh bytes were fetched (a miss or a
+  // failover) — the publisher round trip over the residual path. An
+  // unavailable request has no response time.
+  if (!d.unavailable) {
+    d.responseTimeMs = latency_.localLatencyMs;
+    if (d.retries > 0) {
+      d.responseTimeMs += policy_->config().retry.totalBackoffMs(d.retries);
+    }
+    if (!d.hit && !d.servedStale) {
+      const double cost = policy_ ? policy_->fetchCost(proxy)
+                                  : network_.fetchCost(proxy);
+      d.responseTimeMs += latency_.remoteLatencyMsPerUnit * cost;
     }
   }
   sink_.onRequest(d);
+  return d;
 }
 
 void DistributionService::checkInvariants() const {

@@ -4,16 +4,16 @@
 // behind the narrow Clock/EventSink seam of core/runtime.h. The
 // service never sees an event queue: a driver (the discrete-event
 // simulator, or a wire daemon) advances the Clock, feeds it
-// publish/request/churn/fault occurrences, and receives delivery
-// records through the EventSink.
+// publish/request/churn/fault occurrences, and gets each operation's
+// delivery record back, the same record the EventSink receives.
 //
 // The contract that keeps results reproducible: with the failure layer
-// off the service takes the exact pre-failure-layer code path, and all
-// randomness (fault schedules, loss draws) derives from config seeds
-// alone, never from driver scheduling.
+// off the engine is handed no fault policy and makes no fault decision,
+// and all randomness (fault schedules, loss draws) derives from config
+// seeds alone, never from driver scheduling.
 #pragma once
 
-#include <optional>
+#include <memory>
 
 #include "pscd/core/engine.h"
 #include "pscd/core/fault_plan.h"
@@ -49,7 +49,7 @@ class DistributionService {
   ContentDistributionEngine& engine() { return engine_; }
   const ContentDistributionEngine& engine() const { return engine_; }
 
-  bool faultsEnabled() const { return policy_.has_value(); }
+  bool faultsEnabled() const { return policy_ != nullptr; }
 
   /// The sampled crash/restart and link schedule (empty when the
   /// failure layer is off). The driver merges these events into its
@@ -63,14 +63,15 @@ class DistributionService {
   /// Moves one aggregated subscription between pages.
   void handleChurn(ProxyId proxy, PageId fromPage, PageId toPage);
 
-  /// Publishes a page version at the current Clock time and reports the
-  /// resulting push deliveries (and losses) to the EventSink.
-  void handlePublish(const PublishEvent& event);
+  /// Publishes a page version, stamps the answer with the current
+  /// Clock time, reports it to the EventSink, and returns it.
+  PushDelivery handlePublish(const PublishEvent& event);
 
   /// Serves one user request at the current Clock time, prices its
   /// response under the latency model (plus retry backoff and residual
-  /// fetch paths under failures), and reports it to the EventSink.
-  void handleRequest(ProxyId proxy, PageId page);
+  /// fetch paths under failures), reports it to the EventSink, and
+  /// returns it. Throws std::out_of_range for an unknown proxy or page.
+  RequestDelivery handleRequest(ProxyId proxy, PageId page);
 
   /// Deep validation of the engine and the connectivity overlay.
   void checkInvariants() const;
@@ -80,10 +81,9 @@ class DistributionService {
   const Clock& clock_;
   EventSink& sink_;
   LatencyModel latency_;
-  FaultConfig faults_;
   ContentDistributionEngine engine_;
   FaultPlan plan_;
-  std::optional<FaultPolicy> policy_;
+  std::unique_ptr<FaultPolicy> policy_;  // null: failure layer off
 };
 
 }  // namespace pscd

@@ -211,16 +211,9 @@ WireError WireClient::readResponse(double deadlineSeconds, WireFrame* out) {
 
 WireError WireClient::attemptCall(const WireFrame& frame,
                                   double deadlineSeconds,
-                                  bool allowReconnect,
                                   ResponseBody* response,
                                   std::string* message) {
-  if (fd_ < 0) {
-    if (!allowReconnect) {
-      *message = "send on closed client";
-      return WireError::kConnReset;
-    }
-    if (!reconnect(message)) return WireError::kConnReset;
-  }
+  if (fd_ < 0 && !reconnect(message)) return WireError::kConnReset;
   WireFrame out = frame;
   out.seq = nextSeq_++;
   if (!sendAllNoThrow(encodeFrame(out), message)) {
@@ -254,12 +247,6 @@ WireError WireClient::attemptCall(const WireFrame& frame,
 
 CallResult WireClient::call(const WireFrame& frame,
                             const CallOptions& options) {
-  return callInternal(frame, options, /*allowReconnect=*/true);
-}
-
-CallResult WireClient::callInternal(const WireFrame& frame,
-                                    const CallOptions& options,
-                                    bool allowReconnect) {
   ++stats_.calls;
   CallResult result;
   const std::uint32_t maxAttempts = options.retries + 1;
@@ -274,8 +261,7 @@ CallResult WireClient::callInternal(const WireFrame& frame,
     result.attempts = attempt;
     result.message.clear();
     result.error = attemptCall(frame, options.deadlineSeconds,
-                               allowReconnect, &result.response,
-                               &result.message);
+                               &result.response, &result.message);
     switch (result.error) {
       case WireError::kNone:
         return result;
@@ -296,11 +282,10 @@ CallResult WireClient::callInternal(const WireFrame& frame,
   return result;
 }
 
-ResponseBody WireClient::call(const WireFrame& frame) {
-  const CallResult result =
-      callInternal(frame, CallOptions{}, /*allowReconnect=*/false);
-  // The strict path predates load shedding; an overloaded RESPONSE is a
-  // well-formed answer, so hand it back like any other status.
+ResponseBody WireClient::answer(const WireFrame& frame) {
+  const CallResult result = call(frame, CallOptions{});
+  // An overloaded RESPONSE is a well-formed answer: hand it back like
+  // any other status.
   if (!result.ok() && result.error != WireError::kOverloaded) {
     throw std::runtime_error("WireClient: " + result.message);
   }
@@ -309,28 +294,20 @@ ResponseBody WireClient::call(const WireFrame& frame) {
 
 ResponseBody WireClient::subscribe(ProxyId proxy, PageId page,
                                    std::uint32_t count) {
-  WireFrame frame;
-  frame.body = SubscribeBody{proxy, page, count};
-  return call(frame);
+  return answer({0, SubscribeBody{proxy, page, count}});
 }
 
 ResponseBody WireClient::unsubscribe(ProxyId proxy, PageId page,
                                      std::uint32_t count) {
-  WireFrame frame;
-  frame.body = UnsubscribeBody{proxy, page, count};
-  return call(frame);
+  return answer({0, UnsubscribeBody{proxy, page, count}});
 }
 
 ResponseBody WireClient::publish(PageId page, Version version, Bytes size) {
-  WireFrame frame;
-  frame.body = PublishBody{page, version, size};
-  return call(frame);
+  return answer({0, PublishBody{page, version, size}});
 }
 
 ResponseBody WireClient::request(ProxyId proxy, PageId page) {
-  WireFrame frame;
-  frame.body = RequestBody{proxy, page};
-  return call(frame);
+  return answer({0, RequestBody{proxy, page}});
 }
 
 }  // namespace pscd::net

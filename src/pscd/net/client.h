@@ -6,18 +6,14 @@
 // own WireClient (the daemon multiplexes them on one epoll loop); the
 // loopback tests get determinism by issuing one call at a time.
 //
-// Two call surfaces:
-//
-//   call(frame)            — the legacy strict path: any wire-level
-//                            surprise (EOF, undecodable bytes, a seq we
-//                            never sent) is a thrown std::runtime_error,
-//                            never a silent retry.
-//   call(frame, options)   — the hardened path: per-attempt deadline,
-//                            bounded retries with exponential backoff,
-//                            and a typed WireError outcome instead of an
-//                            exception, so a load harness can account
-//                            degraded operations (timeout / reset /
-//                            shed) rather than dying on the first fault.
+// One call path: call(frame, options) applies a per-attempt deadline
+// and bounded retries with exponential backoff, and returns a typed
+// WireError outcome instead of an exception, so a load harness can
+// account degraded operations (timeout / reset / shed) rather than
+// dying on the first fault. The typed conveniences (subscribe, publish,
+// ...) issue it with CallOptions{} and throw std::runtime_error unless
+// the daemon answered; a call that finds the connection closed
+// reconnects first.
 //
 // Retry safety: every attempt re-issues the operation under a FRESH seq
 // on a fresh connection when the previous one was poisoned (timeout or
@@ -107,18 +103,15 @@ class WireClient {
   WireClient(WireClient&& other) noexcept;
   WireClient& operator=(WireClient&&) = delete;
 
-  /// Strict call: sends `frame` (seq assigned internally, overriding
-  /// frame.seq) and blocks until the RESPONSE with that seq arrives.
-  /// Throws std::runtime_error on connection loss, decode failure, or a
-  /// mismatched/unexpected response.
-  ResponseBody call(const WireFrame& frame);
-
-  /// Hardened call: same operation, but failures come back as a typed
-  /// CallResult and retryable errors are re-issued (seq-safe, with
+  /// Sends `frame` (seq assigned internally, overriding frame.seq) and
+  /// waits for the RESPONSE with that seq. Failures come back as a
+  /// typed CallResult; retryable errors are re-issued (seq-safe, with
   /// reconnect) up to options.retries times.
   CallResult call(const WireFrame& frame, const CallOptions& options);
 
-  // Typed conveniences over the strict call().
+  // Typed conveniences: call(frame, CallOptions{}), throwing
+  // std::runtime_error unless the daemon answered (an overloaded
+  // RESPONSE is an answer).
   ResponseBody subscribe(ProxyId proxy, PageId page, std::uint32_t count = 1);
   ResponseBody unsubscribe(ProxyId proxy, PageId page,
                            std::uint32_t count = 1);
@@ -147,14 +140,11 @@ class WireClient {
   bool reconnect(std::string* message);
   void sendAll(const std::string& bytes);
   bool sendAllNoThrow(const std::string& bytes, std::string* message);
-  /// Shared retry loop; the strict path disables reconnects so a
-  /// poisoned connection stays visibly poisoned.
-  CallResult callInternal(const WireFrame& frame, const CallOptions& options,
-                          bool allowReconnect);
+  /// call(frame, CallOptions{}), throwing unless the daemon answered.
+  ResponseBody answer(const WireFrame& frame);
   /// One send + read-matching-response pass under a deadline.
   WireError attemptCall(const WireFrame& frame, double deadlineSeconds,
-                        bool allowReconnect, ResponseBody* response,
-                        std::string* message);
+                        ResponseBody* response, std::string* message);
   /// Reads one frame; `deadline` is an absolute monotonicSeconds()
   /// time, or 0 for no deadline.
   WireError readFrame(double deadline, WireFrame* out, std::string* message);

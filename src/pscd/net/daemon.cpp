@@ -64,8 +64,8 @@ std::string formatDaemonStats(const DaemonStats& s) {
 }
 
 Daemon::Daemon(DistributionService& service, const Clock& clock,
-               WireSink& sink, const DaemonConfig& config)
-    : service_(service), clock_(clock), sink_(sink), config_(config) {
+               const DaemonConfig& config)
+    : service_(service), clock_(clock), config_(config) {
   if (config_.idleTimeoutSeconds < 0 || config_.readTimeoutSeconds < 0 ||
       config_.writeTimeoutSeconds < 0 || config_.drainSeconds < 0) {
     throw std::invalid_argument("Daemon: negative timeout in config");
@@ -432,44 +432,26 @@ ResponseBody Daemon::dispatch(const WireFrame& frame) {
     switch (frame.type()) {
       case FrameType::kSubscribe: {
         const auto& b = std::get<SubscribeBody>(frame.body);
-        if (b.proxy >= service_.engine().numProxies()) {
-          throw std::out_of_range("SUBSCRIBE: proxy out of range");
-        }
         service_.broker().subscribeAggregated(b.proxy, b.page, b.count);
         break;
       }
       case FrameType::kUnsubscribe: {
         const auto& b = std::get<UnsubscribeBody>(frame.body);
-        if (b.proxy >= service_.engine().numProxies()) {
-          throw std::out_of_range("UNSUBSCRIBE: proxy out of range");
-        }
         response.pages =
             service_.broker().unsubscribeAggregated(b.proxy, b.page, b.count);
         break;
       }
       case FrameType::kPublish: {
         const auto& b = std::get<PublishBody>(frame.body);
-        if (b.size == 0) {
-          throw std::invalid_argument("PUBLISH: size must be positive");
-        }
-        PublishEvent event;
-        event.time = clock_.now();
-        event.page = b.page;
-        event.version = b.version;
-        event.size = b.size;
-        service_.handlePublish(event);
-        const PushDelivery& d = sink_.lastPush();
+        const PushDelivery d = service_.handlePublish(
+            PublishEvent{clock_.now(), b.page, b.version, b.size});
         response.pages = d.pages;
         response.bytes = d.bytes;
         break;
       }
       case FrameType::kRequest: {
         const auto& b = std::get<RequestBody>(frame.body);
-        if (b.proxy >= service_.engine().numProxies()) {
-          throw std::out_of_range("REQUEST: proxy out of range");
-        }
-        service_.handleRequest(b.proxy, b.page);
-        const RequestDelivery& d = sink_.lastRequest();
+        const RequestDelivery d = service_.handleRequest(b.proxy, b.page);
         response.hit = d.hit ? 1 : 0;
         response.stale = d.stale ? 1 : 0;
         response.bytes = d.bytesTransferred;
@@ -578,6 +560,6 @@ ServeHost::ServeHost(const ServeHostConfig& config,
                      const DaemonConfig& daemonConfig)
     : network_(buildNetwork(config)),
       service_(network_, clock_, sink_, buildServiceConfig(config)),
-      daemon_(service_, clock_, sink_, daemonConfig) {}
+      daemon_(service_, clock_, daemonConfig) {}
 
 }  // namespace pscd::net

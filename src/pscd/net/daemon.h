@@ -132,8 +132,9 @@ class Daemon {
  public:
   /// Binds and listens immediately (throws std::runtime_error with the
   /// errno string on any socket failure), but serves only once run() is
-  /// called. `service` must have been built against `clock` and `sink`.
-  Daemon(DistributionService& service, const Clock& clock, WireSink& sink,
+  /// called. `service` must have been built against `clock`; each
+  /// RESPONSE is built from the record the service call returns.
+  Daemon(DistributionService& service, const Clock& clock,
          const DaemonConfig& config);
   ~Daemon();
 
@@ -210,7 +211,6 @@ class Daemon {
 
   DistributionService& service_;
   const Clock& clock_;
-  WireSink& sink_;
   DaemonConfig config_;
   DaemonStats stats_;
   std::uint16_t port_ = 0;

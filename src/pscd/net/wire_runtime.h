@@ -6,12 +6,10 @@
 // TCP wire with zero changes (the layering manifest's core:net
 // forbid-reach gate keeps it that way from the other direction).
 //
-// WireSink additionally stashes the most recent delivery of each kind:
-// the daemon's connection handler calls handlePublish()/handleRequest()
-// and immediately reads lastPush()/lastRequest() to build the RESPONSE
-// frame. That is safe because the daemon's event loop is single-
-// threaded — one frame is fully handled (service call + response
-// encode) before the next is decoded.
+// The daemon builds each RESPONSE from the record the service call
+// returns. WireSink still stashes the most recent delivery of each kind
+// (lastPush()/lastRequest()); the only reader is the serve-mixed replay
+// in perfbench/serve_mixed.cpp.
 #pragma once
 
 #include <cstdint>

@@ -14,50 +14,47 @@ SimMetrics::SimMetrics(std::uint32_t numProxies, std::size_t hours)
   }
 }
 
-void SimMetrics::recordRequest(ProxyId proxy, SimTime t, bool hit, bool stale,
-                               Bytes fetchedBytes, double responseTime,
-                               const RequestFaultStats& faults) {
-  if (proxy >= proxyRequests_.size()) {
+void SimMetrics::recordRequest(const RequestDelivery& d) {
+  if (d.proxy >= proxyRequests_.size()) {
     throw std::out_of_range("SimMetrics::recordRequest: proxy out of range");
   }
   ++requests_;
-  ++proxyRequests_[proxy];
-  retries_ += faults.retries;
-  if (faults.unavailable) ++unavailable_;
-  if (faults.servedStale) ++staleServes_;
-  if (faults.failover) ++failovers_;
+  ++proxyRequests_[d.proxy];
+  retries_ += d.retries;
+  if (d.unavailable) ++unavailable_;
+  if (d.servedStale) ++staleServes_;
+  if (d.failover) ++failovers_;
   // A publisher fetch happened only when the request missed AND was
   // actually served with fresh bytes (stale serving reuses the local
   // copy; an unavailable request transferred nothing).
-  const bool served = !faults.unavailable;
-  const bool fetched = !hit && served && !faults.servedStale;
-  if (served) responseTimeSum_ += responseTime;
-  if (hit) {
+  const bool served = !d.unavailable;
+  const bool fetched = !d.hit && served && !d.servedStale;
+  if (served) responseTimeSum_ += d.responseTimeMs;
+  if (d.hit) {
     ++hits_;
-    ++proxyHits_[proxy];
+    ++proxyHits_[d.proxy];
   } else if (fetched) {
     ++traffic_.fetchPages;
-    traffic_.fetchBytes += fetchedBytes;
+    traffic_.fetchBytes += d.bytesTransferred;
   }
-  if (stale) ++staleMisses_;
+  if (d.stale) ++staleMisses_;
   if (hourlyHits_) {
-    hourlyHits_->add(t, hit ? 1.0 : 0.0, 1.0);
+    hourlyHits_->add(d.time, d.hit ? 1.0 : 0.0, 1.0);
     if (fetched) {
-      hourlyPages_->add(t, 1.0);
-      hourlyBytes_->add(t, static_cast<double>(fetchedBytes));
+      hourlyPages_->add(d.time, 1.0);
+      hourlyBytes_->add(d.time, static_cast<double>(d.bytesTransferred));
     }
   }
 }
 
-void SimMetrics::recordPush(SimTime t, std::uint64_t pages, Bytes bytes,
-                            std::uint64_t lostPages, Bytes lostBytes) {
-  traffic_.pushPages += pages;
-  traffic_.pushBytes += bytes;
-  traffic_.lostPushPages += lostPages;
-  traffic_.lostPushBytes += lostBytes;
+void SimMetrics::recordPush(const PushDelivery& d) {
+  traffic_.pushPages += d.pages;
+  traffic_.pushBytes += d.bytes;
+  traffic_.lostPushPages += d.pagesLost;
+  traffic_.lostPushBytes += d.bytesLost;
   if (hourlyPages_) {
-    hourlyPages_->add(t, static_cast<double>(pages));
-    hourlyBytes_->add(t, static_cast<double>(bytes));
+    hourlyPages_->add(d.time, static_cast<double>(d.pages));
+    hourlyBytes_->add(d.time, static_cast<double>(d.bytes));
   }
 }
 

@@ -7,6 +7,7 @@
 #include <optional>
 #include <vector>
 
+#include "pscd/core/runtime.h"
 #include "pscd/util/stats.h"
 #include "pscd/util/types.h"
 
@@ -26,30 +27,16 @@ struct TrafficTotals {
   Bytes totalBytes() const { return pushBytes + fetchBytes; }
 };
 
-/// Failure-layer observations of one request (all defaults describe the
-/// ideal fault-free overlay).
-struct RequestFaultStats {
-  std::uint32_t retries = 0;
-  bool servedStale = false;
-  bool failover = false;
-  bool unavailable = false;
-};
-
 class SimMetrics {
  public:
   /// hours > 0 enables the hourly series.
   SimMetrics(std::uint32_t numProxies, std::size_t hours);
 
-  /// responseTime is the user-perceived latency of this request under
-  /// the simulator's latency model (hits are served locally, misses pay
-  /// the publisher round trip scaled by the proxy's network distance,
-  /// and failed fetch attempts add their backoff). For an unavailable
-  /// request the responseTime argument is ignored — it has no response.
-  void recordRequest(ProxyId proxy, SimTime t, bool hit, bool stale,
-                     Bytes fetchedBytes, double responseTime = 0.0,
-                     const RequestFaultStats& faults = {});
-  void recordPush(SimTime t, std::uint64_t pages, Bytes bytes,
-                  std::uint64_t lostPages = 0, Bytes lostBytes = 0);
+  /// Folds in one request's answer. responseTimeMs is the user-
+  /// perceived latency under the service's latency model; an
+  /// unavailable request has none and adds nothing to the mean.
+  void recordRequest(const RequestDelivery& d);
+  void recordPush(const PushDelivery& d);
 
   std::uint64_t requests() const { return requests_; }
   std::uint64_t hits() const { return hits_; }

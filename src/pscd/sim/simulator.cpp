@@ -31,18 +31,9 @@ class MetricsSink final : public EventSink {
  public:
   explicit MetricsSink(SimMetrics& metrics) : metrics_(metrics) {}
 
-  void onPush(const PushDelivery& d) override {
-    metrics_.recordPush(d.time, d.pages, d.bytes, d.pagesLost, d.bytesLost);
-  }
-
+  void onPush(const PushDelivery& d) override { metrics_.recordPush(d); }
   void onRequest(const RequestDelivery& d) override {
-    RequestFaultStats fs;
-    fs.retries = d.retries;
-    fs.servedStale = d.servedStale;
-    fs.failover = d.failover;
-    fs.unavailable = d.unavailable;
-    metrics_.recordRequest(d.proxy, d.time, d.hit, d.stale,
-                           d.bytesTransferred, d.responseTimeMs, fs);
+    metrics_.recordRequest(d);
   }
 
  private:

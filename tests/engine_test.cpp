@@ -36,8 +36,8 @@ TEST_F(EngineTest, PublishNotifiesMatchedProxies) {
   const auto s = e.publish(ev(1, 100));
   EXPECT_EQ(s.proxiesNotified, 2u);
   EXPECT_EQ(s.proxiesStored, 2u);
-  EXPECT_EQ(s.pagesTransferred, 2u);
-  EXPECT_EQ(s.bytesTransferred, 200u);
+  EXPECT_EQ(s.pages, 2u);
+  EXPECT_EQ(s.bytes, 200u);
 }
 
 TEST_F(EngineTest, NoPushTrafficForAccessOnlyStrategy) {
@@ -46,8 +46,8 @@ TEST_F(EngineTest, NoPushTrafficForAccessOnlyStrategy) {
   const auto s = e.publish(ev(1, 100));
   EXPECT_EQ(s.proxiesNotified, 1u);
   EXPECT_EQ(s.proxiesStored, 0u);
-  EXPECT_EQ(s.pagesTransferred, 0u);
-  EXPECT_EQ(s.bytesTransferred, 0u);
+  EXPECT_EQ(s.pages, 0u);
+  EXPECT_EQ(s.bytes, 0u);
 }
 
 TEST_F(EngineTest, WhenNecessaryOnlyTransfersStoredPages) {
@@ -57,11 +57,11 @@ TEST_F(EngineTest, WhenNecessaryOnlyTransfersStoredPages) {
                       120);
   e.broker().subscribeAggregated(0, 1, 50);
   e.broker().subscribeAggregated(0, 2, 1);
-  EXPECT_EQ(e.publish(ev(1, 100)).pagesTransferred, 1u);
+  EXPECT_EQ(e.publish(ev(1, 100)).pages, 1u);
   const auto s2 = e.publish(ev(2, 100));
   EXPECT_EQ(s2.proxiesNotified, 1u);
   EXPECT_EQ(s2.proxiesStored, 0u);
-  EXPECT_EQ(s2.pagesTransferred, 0u);
+  EXPECT_EQ(s2.pages, 0u);
 }
 
 TEST_F(EngineTest, AlwaysPushingTransfersRegardless) {
@@ -69,7 +69,7 @@ TEST_F(EngineTest, AlwaysPushingTransfersRegardless) {
   e.broker().subscribeAggregated(0, 1, 50);
   e.broker().subscribeAggregated(0, 2, 1);
   e.publish(ev(1, 100));
-  EXPECT_EQ(e.publish(ev(2, 100)).pagesTransferred, 1u);
+  EXPECT_EQ(e.publish(ev(2, 100)).pages, 1u);
 }
 
 TEST_F(EngineTest, RequestHitAfterPush) {

@@ -11,6 +11,7 @@
 
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/core/engine.h"
+#include "pscd/core/fault_policy.h"
 #include "pscd/sim/simulator.h"
 #include "pscd/topology/network.h"
 #include "pscd/util/check.h"
@@ -91,10 +92,36 @@ class EngineFaultTest : public ::testing::Test {
     return ContentDistributionEngine(network_, std::move(ec));
   }
 
+  /// A real policy over the test overlay, every proxy and link up.
+  FaultPolicy makePolicy(const FaultConfig& config) const {
+    return FaultPolicy(config, network_);
+  }
+
+  /// Crashes `proxy` the way a scheduled fault event does.
+  static void crash(FaultPolicy& policy, ProxyId proxy) {
+    FaultEvent event;
+    event.kind = FaultEventKind::kProxyDown;
+    event.proxy = proxy;
+    policy.apply(event);
+  }
+
+  /// Partitions `proxy` from the publisher by downing every link at its
+  /// node.
+  void isolate(FaultPolicy& policy, ProxyId proxy) const {
+    const NodeId node = network_.proxyNode(proxy);
+    for (const Graph::Edge& edge : network_.graph().neighbors(node)) {
+      FaultEvent event;
+      event.kind = FaultEventKind::kLinkDown;
+      event.linkA = node;
+      event.linkB = edge.to;
+      policy.apply(event);
+    }
+  }
+
   /// Publishes `page` at `version` with a subscription at every proxy.
-  static PublishSummary publishAll(ContentDistributionEngine& engine,
-                                   PageId page, Version version,
-                                   const PushFaults* faults = nullptr) {
+  static PushDelivery publishAll(ContentDistributionEngine& engine,
+                                 PageId page, Version version,
+                                 FaultPolicy* faults = nullptr) {
     PublishEvent ev;
     ev.time = 1.0;
     ev.page = page;
@@ -112,13 +139,14 @@ TEST_F(EngineFaultTest, LostPushesAreAccountedUnderAlwaysPushing) {
   for (ProxyId p = 0; p < 3; ++p) {
     engine.broker().subscribeAggregated(p, 7, 1);
   }
-  PushFaults faults;
-  faults.lost = [](ProxyId) { return true; };
-  const PublishSummary s = publishAll(engine, 7, 0, &faults);
+  FaultConfig fc;
+  fc.pushLossProbability = 1.0;
+  FaultPolicy policy = makePolicy(fc);
+  const PushDelivery s = publishAll(engine, 7, 0, &policy);
   EXPECT_EQ(s.proxiesNotified, 3u);
   EXPECT_EQ(s.proxiesStored, 0u);
-  EXPECT_EQ(s.pagesTransferred, 0u);
-  EXPECT_EQ(s.bytesTransferred, 0u);
+  EXPECT_EQ(s.pages, 0u);
+  EXPECT_EQ(s.bytes, 0u);
   EXPECT_EQ(s.pagesLost, 3u);
   EXPECT_EQ(s.bytesLost, 1500u);
   for (ProxyId p = 0; p < 3; ++p) {
@@ -132,9 +160,12 @@ TEST_F(EngineFaultTest, LostPushesCostNothingUnderPushingWhenNecessary) {
   for (ProxyId p = 0; p < 3; ++p) {
     engine.broker().subscribeAggregated(p, 7, 1);
   }
-  PushFaults faults;
-  faults.lost = [](ProxyId p) { return p != 1; };
-  const PublishSummary s = publishAll(engine, 7, 0, &faults);
+  FaultConfig fc;
+  fc.proxyFailuresPerDay = 1.0;
+  FaultPolicy policy = makePolicy(fc);
+  crash(policy, 0);
+  crash(policy, 2);
+  const PushDelivery s = publishAll(engine, 7, 0, &policy);
   // The meta-exchange already failed for proxies 0 and 2, so no bytes
   // were wasted on them; proxy 1 stored normally.
   EXPECT_EQ(s.pagesLost, 0u);
@@ -149,15 +180,15 @@ TEST_F(EngineFaultTest, RetriesThenServesStaleFromCache) {
   engine.broker().subscribeAggregated(0, 7, 1);
   publishAll(engine, 7, 0);  // proxy 0 stores version 0
   ASSERT_TRUE(engine.strategy(0).cachedVersion(7).has_value());
-  PushFaults lostAll;
-  lostAll.lost = [](ProxyId) { return true; };
-  publishAll(engine, 7, 1, &lostAll);  // version 1 never arrives
+  FaultConfig fc;
+  fc.pushLossProbability = 1.0;
+  fc.fetchFailureProbability = 1.0;
+  fc.retry.maxRetries = 2;
+  FaultPolicy policy = makePolicy(fc);
+  publishAll(engine, 7, 1, &policy);  // version 1 never arrives
 
-  RequestFaults faults;
-  faults.maxRetries = 2;
-  faults.fetchAttemptFails = [] { return true; };
   const Bytes usedBefore = engine.strategy(0).usedBytes();
-  const RequestSummary s = engine.request(0, 7, 2.0, &faults);
+  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
   EXPECT_TRUE(s.servedStale);
   EXPECT_TRUE(s.stale);
   EXPECT_FALSE(s.hit);
@@ -172,10 +203,11 @@ TEST_F(EngineFaultTest, RetriesThenServesStaleFromCache) {
 TEST_F(EngineFaultTest, UncachedPageWithFailedFetchIsUnavailable) {
   auto engine = makeEngine();
   publishAll(engine, 7, 0);  // no subscriptions: nothing cached anywhere
-  RequestFaults faults;
-  faults.maxRetries = 3;
-  faults.fetchAttemptFails = [] { return true; };
-  const RequestSummary s = engine.request(0, 7, 2.0, &faults);
+  FaultConfig fc;
+  fc.fetchFailureProbability = 1.0;
+  fc.retry.maxRetries = 3;
+  FaultPolicy policy = makePolicy(fc);
+  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
   EXPECT_TRUE(s.unavailable);
   EXPECT_FALSE(s.servedStale);
   EXPECT_EQ(s.retries, 3u);
@@ -186,10 +218,11 @@ TEST_F(EngineFaultTest, FreshHitIsImmuneToFetchFailures) {
   auto engine = makeEngine();
   engine.broker().subscribeAggregated(0, 7, 1);
   publishAll(engine, 7, 0);
-  RequestFaults faults;
-  faults.maxRetries = 2;
-  faults.fetchAttemptFails = [] { return true; };
-  const RequestSummary s = engine.request(0, 7, 2.0, &faults);
+  FaultConfig fc;
+  fc.fetchFailureProbability = 1.0;
+  fc.retry.maxRetries = 2;
+  FaultPolicy policy = makePolicy(fc);
+  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
   EXPECT_TRUE(s.hit);
   EXPECT_EQ(s.retries, 0u);
   EXPECT_FALSE(s.servedStale);
@@ -199,10 +232,12 @@ TEST_F(EngineFaultTest, DownProxyFailsOverToThePublisher) {
   auto engine = makeEngine();
   engine.broker().subscribeAggregated(0, 7, 1);
   publishAll(engine, 7, 0);
-  RequestFaults faults;
-  faults.proxyDown = true;
+  FaultConfig fc;
+  fc.proxyFailuresPerDay = 1.0;
+  FaultPolicy policy = makePolicy(fc);
+  crash(policy, 0);
   const Bytes usedBefore = engine.strategy(0).usedBytes();
-  const RequestSummary s = engine.request(0, 7, 2.0, &faults);
+  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
   EXPECT_TRUE(s.failover);
   EXPECT_FALSE(s.hit);
   EXPECT_FALSE(s.unavailable);
@@ -214,11 +249,13 @@ TEST_F(EngineFaultTest, DownProxyFailsOverToThePublisher) {
 TEST_F(EngineFaultTest, DownProxyWithoutFailoverIsUnavailable) {
   auto engine = makeEngine();
   publishAll(engine, 7, 0);
-  RequestFaults faults;
-  faults.proxyDown = true;
-  faults.publisherFailover = false;
-  faults.maxRetries = 4;
-  const RequestSummary s = engine.request(0, 7, 2.0, &faults);
+  FaultConfig fc;
+  fc.proxyFailuresPerDay = 1.0;
+  fc.publisherFailover = false;
+  fc.retry.maxRetries = 4;
+  FaultPolicy policy = makePolicy(fc);
+  crash(policy, 0);
+  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
   EXPECT_TRUE(s.unavailable);
   EXPECT_FALSE(s.failover);
   EXPECT_EQ(s.retries, 0u);
@@ -228,15 +265,17 @@ TEST_F(EngineFaultTest, PartitionedProxyCannotFetch) {
   auto engine = makeEngine();
   engine.broker().subscribeAggregated(0, 7, 1);
   publishAll(engine, 7, 0);
-  PushFaults lostAll;
-  lostAll.lost = [](ProxyId) { return true; };
-  publishAll(engine, 7, 1, &lostAll);
-  RequestFaults faults;
-  faults.pathToPublisher = false;
-  faults.maxRetries = 3;
-  const RequestSummary s = engine.request(0, 7, 2.0, &faults);
-  // Every attempt times out without drawing randomness; the stale copy
-  // still saves the request.
+  FaultConfig fc;
+  fc.linkFailuresPerDay = 1.0;
+  fc.retry.maxRetries = 3;
+  FaultPolicy policy = makePolicy(fc);
+  isolate(policy, 0);
+  ASSERT_FALSE(policy.pathToPublisher(0));
+  // The push of version 1 cannot reach the partitioned proxy.
+  EXPECT_EQ(publishAll(engine, 7, 1, &policy).pagesLost, 1u);
+  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
+  // Every attempt times out even though fetches never fail at random
+  // here; the stale copy still saves the request.
   EXPECT_TRUE(s.servedStale);
   EXPECT_EQ(s.retries, 3u);
 }

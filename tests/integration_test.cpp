@@ -111,7 +111,7 @@ TEST_F(IntegrationTest, SimulatorMatchesManualEngineReplay) {
         (ri >= workload_.requests.size() ||
          workload_.publishes[pi].time <= workload_.requests[ri].time);
     if (takePublish) {
-      pushes += engine.publish(workload_.publishes[pi++]).pagesTransferred;
+      pushes += engine.publish(workload_.publishes[pi++]).pages;
     } else {
       const auto& r = workload_.requests[ri++];
       hits += engine.request(r.proxy, r.page, r.time).hit;

@@ -111,14 +111,10 @@ class ServeLoopbackTest : public ::testing::Test {
         const Version version = nextVersion++;
         const ResponseBody resp = client.publish(page, version, size);
         ASSERT_TRUE(resp.ok()) << "op " << op;
-        PublishEvent event;
-        event.time = 0.0;
-        event.page = page;
-        event.version = version;
-        event.size = size;
-        oracle.handlePublish(event);
-        EXPECT_EQ(resp.pages, sink.lastPush().pages) << "op " << op;
-        EXPECT_EQ(resp.bytes, sink.lastPush().bytes) << "op " << op;
+        const PushDelivery d =
+            oracle.handlePublish(PublishEvent{0.0, page, version, size});
+        EXPECT_EQ(resp.pages, d.pages) << "op " << op;
+        EXPECT_EQ(resp.bytes, d.bytes) << "op " << op;
       } else {
         const auto proxy = static_cast<ProxyId>(rng.uniformInt(
             std::uint64_t{config_.numProxies}));
@@ -126,8 +122,7 @@ class ServeLoopbackTest : public ::testing::Test {
             std::uint64_t{kPages}));
         const ResponseBody resp = client.request(proxy, page);
         ASSERT_TRUE(resp.ok()) << "op " << op;
-        oracle.handleRequest(proxy, page);
-        const RequestDelivery& d = sink.lastRequest();
+        const RequestDelivery d = oracle.handleRequest(proxy, page);
         EXPECT_EQ(resp.hit != 0, d.hit) << "op " << op;
         EXPECT_EQ(resp.stale != 0, d.stale) << "op " << op;
         EXPECT_EQ(resp.bytes, d.bytesTransferred) << "op " << op;
@@ -180,14 +175,10 @@ TEST_F(ServeLoopbackTest, SubscribePublishNotifyFanout) {
 
   const ResponseBody push = client.publish(7, 1, 500);
   ASSERT_TRUE(push.ok());
-  PublishEvent event;
-  event.time = 0.0;
-  event.page = 7;
-  event.version = 1;
-  event.size = 500;
-  oracle.handlePublish(event);
-  EXPECT_EQ(push.pages, sink.lastPush().pages);
-  EXPECT_EQ(push.bytes, sink.lastPush().bytes);
+  const PushDelivery d = oracle.handlePublish(PublishEvent{0.0, 7, 1, 500});
+  EXPECT_EQ(push.pages, d.pages);
+  EXPECT_EQ(push.bytes, d.bytes);
+  EXPECT_EQ(d.proxiesNotified, 2u);
   EXPECT_GT(push.pages, 0u);  // two matching proxies: a real fan-out
 
   // Unsubscribing reports the removed count both ways.
@@ -219,6 +210,7 @@ TEST_F(ServeLoopbackTest, ErrorResponsesKeepTheConnectionAlive) {
   EXPECT_EQ(unknown.bytes, 0u);
   EXPECT_FALSE(client.request(99, 1).ok());
   EXPECT_FALSE(client.subscribe(99, 1).ok());
+  EXPECT_FALSE(client.unsubscribe(99, 1).ok());
   EXPECT_FALSE(client.publish(2, 1, 0).ok());
 
   // ...and the connection (and service state) live on.
@@ -226,7 +218,7 @@ TEST_F(ServeLoopbackTest, ErrorResponsesKeepTheConnectionAlive) {
   EXPECT_TRUE(client.subscribe(0, 1).ok());
 
   StopHost();
-  EXPECT_EQ(host_->daemon().stats().errorResponses, 4u);
+  EXPECT_EQ(host_->daemon().stats().errorResponses, 5u);
   EXPECT_EQ(host_->daemon().stats().decodeErrors, 0u);
 }
 
@@ -260,6 +252,11 @@ TEST_F(ServeLoopbackTest, GarbageBytesCloseOnlyThatConnection) {
 
   // The other connection is unaffected.
   EXPECT_TRUE(good.request(0, 1).ok());
+
+  // The poisoned client's next call reconnects instead of failing.
+  EXPECT_TRUE(bad.request(0, 1).ok());
+  EXPECT_TRUE(bad.connected());
+  EXPECT_EQ(bad.stats().reconnects, 1u);
 
   StopHost();
   EXPECT_EQ(host_->daemon().stats().decodeErrors, 1u);
