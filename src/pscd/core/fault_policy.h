@@ -1,14 +1,14 @@
 // Failure/recovery decision logic, factored out of the event loop: owns
 // the residual-connectivity overlay (LinkState) and the per-operation
 // loss RNG, applies scheduled fault events to them, and answers the
-// engine's fault questions (pushLost, fetchAttemptFails) directly. Pure
+// service's fault questions (pushLost, fetchAttemptFails) directly. Pure
 // decision code — it never sees the event queue or the simulator
 // clock, so the same policy object can back a live deployment's failure
 // detector.
 //
 // Determinism contract (DESIGN.md section 9): the loss RNG is stream 2
 // of the fault seed (streams 0/1 feed the proxy/link schedules inside
-// buildFaultPlan), and the engine asks pushLost once per notified
+// buildFaultPlan), and the service asks pushLost once per notified
 // push-capable proxy in ascending proxy order.
 #pragma once
 
@@ -25,7 +25,7 @@ class FaultPolicy {
   FaultPolicy(const FaultConfig& config, const Network& network);
 
   /// Applies one scheduled fault event to the connectivity state. On
-  /// kProxyUp the caller also restarts the proxy's strategy, cold or
+  /// kProxyUp the service also restarts the proxy's strategy, cold or
   /// warm per config().warmRestart.
   void apply(const FaultEvent& event);
 

@@ -1,9 +1,9 @@
 // The narrow seam between decision logic (core) and whatever drives it:
 // a Clock the service reads instead of event timestamps, and an
 // EventSink it reports deliveries to instead of a metrics object. The
-// discrete-event simulator implements both (sim/simulator.cpp advances
-// a virtual clock and folds deliveries into SimMetrics); a wire daemon
-// would implement them with the wall clock and a stats exporter. This
+// discrete-event simulator drives a ManualClock and folds deliveries
+// into SimMetrics (sim/simulator.cpp); the wire daemon reads the wall
+// clock and keeps serving counters (net/wire_runtime.h). This
 // is the layering manifest's load-bearing edge: core never includes
 // sim, so the same DistributionService can sit behind either driver
 // (enforced transitively by `pscd_lint --forbid-reach core:sim`).
@@ -60,6 +60,17 @@ class Clock {
  public:
   virtual ~Clock() = default;
   virtual SimTime now() const = 0;
+};
+
+/// A Clock that reads whatever its driver last set (0 until then): the
+/// simulator's virtual time, and the fixed time of a test's oracle.
+class ManualClock final : public Clock {
+ public:
+  SimTime now() const override { return now_; }
+  void advance(SimTime t) { now_ = t; }
+
+ private:
+  SimTime now_ = 0.0;
 };
 
 /// Receiver of delivery records. Core pushes facts out through this

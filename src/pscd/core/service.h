@@ -1,28 +1,50 @@
-// DistributionService: the complete decision side of a content
-// distribution deployment — engine (matching, push-time placement,
-// access-time caching), failure/recovery policy, and latency model —
-// behind the narrow Clock/EventSink seam of core/runtime.h. The
-// service never sees an event queue: a driver (the discrete-event
-// simulator, or a wire daemon) advances the Clock, feeds it
-// publish/request/churn/fault occurrences, and gets each operation's
-// delivery record back, the same record the EventSink receives.
+// DistributionService: the content delivery engine the paper adds to
+// publish/subscribe (figure 1, flow 3'), as one decision object. It
+// owns the broker (matching + notification), one distribution strategy
+// per proxy, the published-page table, the fault plan and policy, and
+// the latency model; it performs match-time pushing and access-time
+// caching and accounts the publisher->proxy traffic.
 //
-// The contract that keeps results reproducible: with the failure layer
-// off the engine is handed no fault policy and makes no fault decision,
-// and all randomness (fault schedules, loss draws) derives from config
-// seeds alone, never from driver scheduling.
+// A driver (the discrete-event simulator, or the wire daemon) advances
+// the Clock of core/runtime.h and feeds the service publish/request/
+// churn/fault occurrences; each operation's answer is returned and
+// also handed to the EventSink. With the failure layer off the service
+// makes no fault decision, and all randomness (fault schedules, loss
+// draws) derives from config seeds alone, never from driver scheduling.
 #pragma once
 
 #include <memory>
+#include <vector>
 
-#include "pscd/core/engine.h"
+#include "pscd/cache/strategy.h"
+#include "pscd/cache/strategy_factory.h"
 #include "pscd/core/fault_plan.h"
 #include "pscd/core/fault_policy.h"
 #include "pscd/core/latency.h"
 #include "pscd/core/runtime.h"
+#include "pscd/pubsub/broker.h"
 #include "pscd/topology/network.h"
+#include "pscd/util/flat_map.h"
+#include "pscd/util/types.h"
 
 namespace pscd {
+
+/// How pushed content travels from the publisher to a proxy (section
+/// 5.6). Always-Pushing transfers every matched page; Pushing-When-
+/// Necessary first exchanges meta-information and transfers only pages
+/// the proxy decides to store.
+enum class PushScheme { kAlwaysPushing, kPushingWhenNecessary };
+
+struct EngineConfig {
+  StrategyKind strategy = StrategyKind::kGDStar;
+  double beta = 1.0;
+  double dcInitialPcFraction = 0.5;
+  double dcMinPcFraction = 0.25;
+  double dcMaxPcFraction = 0.75;
+  PushScheme pushScheme = PushScheme::kAlwaysPushing;
+  /// Cache capacity per proxy; must match the network's proxy count.
+  std::vector<Bytes> proxyCapacities;
+};
 
 struct ServiceConfig {
   EngineConfig engine;
@@ -39,49 +61,92 @@ struct ServiceConfig {
 
 class DistributionService {
  public:
-  /// Validates the latency and fault configs (CheckFailure on bad
-  /// parameters), builds the engine, and — when any failure process is
-  /// enabled — samples the fault plan over [0, faultHorizon).
+  /// The network defines the proxy count and fetch costs; config.engine
+  /// needs one capacity per proxy (std::invalid_argument otherwise).
+  /// Validates the latency and fault configs (CheckFailure) and, when
+  /// any failure process is enabled, samples the fault plan over
+  /// [0, faultHorizon).
   DistributionService(const Network& network, const Clock& clock,
                       EventSink& sink, ServiceConfig config);
 
-  Broker& broker() { return engine_.broker(); }
-  ContentDistributionEngine& engine() { return engine_; }
-  const ContentDistributionEngine& engine() const { return engine_; }
+  Broker& broker() { return broker_; }
+  const Broker& broker() const { return broker_; }
 
-  bool faultsEnabled() const { return policy_ != nullptr; }
+  /// Only perfbench calls this (`service.engine().strategy(p)`); it goes
+  /// with the next change to the benchmark.
+  const DistributionService& engine() const { return *this; }
+
+  const DistributionStrategy& strategy(ProxyId proxy) const {
+    return *proxies_.at(proxy);
+  }
 
   /// The sampled crash/restart and link schedule (empty when the
   /// failure layer is off). The driver merges these events into its
   /// timeline and hands each one back through handleFault().
   const FaultPlan& faultPlan() const { return plan_; }
 
-  /// Applies one scheduled fault event to the connectivity state and,
-  /// on a proxy restart, to the engine.
+  /// Applies one scheduled fault event to the connectivity state. On
+  /// kProxyUp a cold restart (the default) rebuilds the proxy's
+  /// strategy, wiping its cache and bookkeeping; a warm restart
+  /// (FaultConfig::warmRestart) keeps it. CheckFailure with the failure
+  /// layer off or for a proxy or link off the overlay.
   void handleFault(const FaultEvent& event);
 
   /// Moves one aggregated subscription between pages.
   void handleChurn(ProxyId proxy, PageId fromPage, PageId toPage);
 
-  /// Publishes a page version, stamps the answer with the current
-  /// Clock time, reports it to the EventSink, and returns it.
+  /// Publishes a page version: matches it against all subscriptions and
+  /// runs the push-time placement at every notified proxy. The answer
+  /// is stamped with event.time. A push the fault policy reports lost
+  /// never reaches the proxy; under Always-Pushing its bytes count as
+  /// lost. std::invalid_argument for a zero-size page.
+  PushDelivery handlePublish(const PublishEvent& event,
+                             const ContentAttributes& attrs);
+  /// The same with page-id-only attributes.
   PushDelivery handlePublish(const PublishEvent& event);
 
-  /// Serves one user request at the current Clock time, prices its
-  /// response under the latency model (plus retry backoff and residual
-  /// fetch paths under failures), reports it to the EventSink, and
-  /// returns it. Throws std::out_of_range for an unknown proxy or page.
+  /// A user attached to `proxy` requests `page` at the current Clock
+  /// time (std::out_of_range for an unknown proxy or page, checked
+  /// before anything else). Under failures a down proxy fails over to a
+  /// direct publisher fetch (when allowed and a path exists), a miss
+  /// retries failed fetches up to maxRetries, and an abandoned fetch
+  /// serves a stale cached copy when one exists (cache state untouched)
+  /// and fails otherwise. The answer is priced under the latency model,
+  /// plus retry backoff and residual fetch paths under failures.
   RequestDelivery handleRequest(ProxyId proxy, PageId page);
 
-  /// Deep validation of the engine and the connectivity overlay.
+  /// Deep validation of the broker, every proxy strategy, the page
+  /// table (positive sizes, notification lists sorted by proxy) and the
+  /// connectivity overlay. Throws CheckFailure on any violation.
   void checkInvariants() const;
 
  private:
-  const Network& network_;
+  struct PageState {
+    PageId page = 0;
+    Version version = 0;
+    Bytes size = 0;
+    /// Match counts from the page's most recent publish, sorted by
+    /// proxy; consulted at request time for the subscription factor.
+    /// Each publish refills it in place, reusing its capacity.
+    std::vector<Notification> matches;
+  };
+
+  std::uint32_t matchCount(const PageState& state, ProxyId proxy) const;
+
   const Clock& clock_;
   EventSink& sink_;
+  EngineConfig config_;
   LatencyModel latency_;
-  ContentDistributionEngine engine_;
+  Broker broker_;
+  /// Each proxy's strategy parameters, kept so a cold restart can
+  /// rebuild it; fetchCost also prices a fault-free fetch.
+  std::vector<StrategyParams> strategyParams_;
+  std::vector<std::unique_ptr<DistributionStrategy>> proxies_;
+  /// One state per page ever published, in first-publish order (pages
+  /// are never dropped), found through a table because the ids are
+  /// client-chosen 32-bit values.
+  std::vector<PageState> pages_;
+  FlatMap<std::uint32_t> pageSlot_;  // page -> position in pages_
   FaultPlan plan_;
   std::unique_ptr<FaultPolicy> policy_;  // null: failure layer off
 };

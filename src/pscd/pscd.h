@@ -2,8 +2,8 @@
 // publish/subscribe services (Chen, LaPaugh & Singh, Middleware 2003).
 //
 // Typical entry points:
-//   * pscd::ContentDistributionEngine  — online publish/subscribe/request
-//     API with match-time pushing and access-time caching (core/engine.h)
+//   * pscd::DistributionService        — online publish/subscribe/request
+//     API with match-time pushing and access-time caching (core/service.h)
 //   * pscd::buildWorkload              — MSNBC-style synthetic workload
 //   * pscd::Simulator                  — trace-driven evaluation
 //   * pscd::ExperimentContext          — canonical paper experiments
@@ -21,7 +21,6 @@
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/cache/sub_strategy.h"
 #include "pscd/cache/value_cache.h"
-#include "pscd/core/engine.h"
 #include "pscd/core/fault_plan.h"
 #include "pscd/core/fault_policy.h"
 #include "pscd/core/latency.h"

@@ -10,8 +10,8 @@
 #include <tuple>
 
 #include "pscd/cache/strategy_factory.h"
-#include "pscd/core/engine.h"
 #include "pscd/core/fault_plan.h"
+#include "pscd/core/service.h"
 #include "pscd/sim/metrics.h"
 #include "pscd/topology/network.h"
 #include "pscd/util/mutex.h"

@@ -36,7 +36,7 @@ struct ExperimentCell {
   PushScheme scheme = PushScheme::kAlwaysPushing;
   bool collectHourly = false;
   /// When set, overrides paperBeta() for this cell.
-  std::optional<double> beta;
+  std::optional<double> beta{};
   /// Failure model of this cell (default: disabled, ideal overlay). A
   /// cell wanting stochastic faults should set faults.seed from its own
   /// cellSeed() so the schedule stays order-free.

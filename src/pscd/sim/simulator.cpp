@@ -14,19 +14,9 @@ namespace pscd {
 
 namespace {
 
-// The simulator's half of the core/runtime.h seam: virtual time owned
-// by the merge loop below, and delivery records folded into SimMetrics.
-// Core code only ever sees the Clock/EventSink interfaces — the
-// layering manifest forbids core from reaching back into sim.
-class SimClock final : public Clock {
- public:
-  SimTime now() const override { return now_; }
-  void advance(SimTime t) { now_ = t; }
-
- private:
-  SimTime now_ = 0.0;
-};
-
+// The simulator's half of the core/runtime.h seam: the merge loop below
+// owns virtual time (a ManualClock), and delivery records fold into
+// SimMetrics. Core code only ever sees the Clock/EventSink interfaces.
 class MetricsSink final : public EventSink {
  public:
   explicit MetricsSink(SimMetrics& metrics) : metrics_(metrics) {}
@@ -65,9 +55,14 @@ Simulator::Simulator(const Workload& workload, const Network& network,
   checkFraction(config.dcInitialPcFraction, "dcInitialPcFraction");
   checkFraction(config.dcMinPcFraction, "dcMinPcFraction");
   checkFraction(config.dcMaxPcFraction, "dcMaxPcFraction");
-  PSCD_CHECK(config.dcMinPcFraction <= config.dcInitialPcFraction &&
-             config.dcInitialPcFraction <= config.dcMaxPcFraction)
-      << "Simulator: dc pc fractions must satisfy min <= initial <= max";
+  // The [min, max] window bounds DC-LAP's adaptive partition only
+  // (DualCacheConfig); DC-FP and DC-AP may start anywhere in [0, 1].
+  PSCD_CHECK(config.dcMinPcFraction <= config.dcMaxPcFraction)
+      << "Simulator: dc pc fractions must satisfy min <= max";
+  PSCD_CHECK(config.strategy != StrategyKind::kDCLAP ||
+             (config.dcMinPcFraction <= config.dcInitialPcFraction &&
+              config.dcInitialPcFraction <= config.dcMaxPcFraction))
+      << "Simulator: DC-LAP pc fractions must satisfy min <= initial <= max";
   config.faults.validate();
 }
 
@@ -112,7 +107,7 @@ SimMetrics Simulator::run() {
           : 0;
   SimMetrics metrics(workload_.numProxies(), hours);
 
-  SimClock clock;
+  ManualClock clock;
   MetricsSink sink(metrics);
   DistributionService service(network_, clock, sink, std::move(sc));
 

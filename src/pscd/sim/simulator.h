@@ -1,12 +1,12 @@
 // Discrete-event simulator (section 4, figure 2): merges the publishing
 // stream and the request streams in time order and drives one
-// ContentDistributionEngine over them. Proxy cache capacities are a
+// DistributionService over them. Proxy cache capacities are a
 // fraction of the unique bytes each proxy requests over the whole trace
 // (section 5.1).
 #pragma once
 
-#include "pscd/core/engine.h"
 #include "pscd/core/fault_plan.h"
+#include "pscd/core/service.h"
 #include "pscd/sim/metrics.h"
 #include "pscd/topology/network.h"
 #include "pscd/workload/workload.h"
@@ -29,7 +29,7 @@ struct SimConfig {
   /// integration tests, far too slow for benches.
   std::uint64_t invariantCheckInterval = 0;
   /// Deep self-check mode (pscd_sim --self-check): validates the network
-  /// once up front and the whole engine (broker, matcher, every proxy
+  /// once up front and the whole service (broker, matcher, every proxy
   /// strategy) after each simulated hour and at the end of the run.
   /// Debug (!NDEBUG) builds always run these checks.
   bool selfCheckHourly = false;
@@ -51,8 +51,8 @@ class Simulator {
   Simulator(const Workload& workload, const Network& network,
             const SimConfig& config);
 
-  /// Runs the whole trace and returns the collected metrics. The engine
-  /// is rebuilt on every call, so run() is repeatable.
+  /// Runs the whole trace and returns the collected metrics. The
+  /// service is rebuilt on every call, so run() is repeatable.
   SimMetrics run();
 
   /// Capacity the given proxy gets under the configured fraction.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace pscd {
 
@@ -113,14 +114,20 @@ double ArgParser::optionDouble(std::string_view name) const {
   }
 }
 
-std::int64_t ArgParser::optionInt(std::string_view name) const {
-  const std::string& raw = option(name);
+std::int64_t parseIntInRange(std::string_view name, std::string_view raw,
+                             std::int64_t lo, std::uint64_t hi) {
   std::int64_t v = 0;
   const auto [ptr, ec] =
       std::from_chars(raw.data(), raw.data() + raw.size(), v);
   if (ec != std::errc() || ptr != raw.data() + raw.size()) {
     throw std::invalid_argument("option --" + std::string(name) +
-                                ": not an integer: " + raw);
+                                ": not an integer: " + std::string(raw));
+  }
+  if (v < lo || std::cmp_greater(v, hi)) {
+    throw std::out_of_range("option --" + std::string(name) + ": " +
+                            std::string(raw) + " is outside [" +
+                            std::to_string(lo) + ", " + std::to_string(hi) +
+                            "]");
   }
   return v;
 }

@@ -3,7 +3,9 @@
 // with defaults, and generated --help text.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -11,6 +13,20 @@
 #include <vector>
 
 namespace pscd {
+
+std::int64_t parseIntInRange(std::string_view name, std::string_view raw,
+                             std::int64_t lo, std::uint64_t hi);
+
+/// Reads `raw`, the value given for option --name, as an integer that
+/// fits T, the type of the field it feeds, so it never wraps on the way
+/// in: std::invalid_argument when it is not an integer, std::out_of_range
+/// when it does not fit. Both messages name the option.
+template <std::integral T>
+T parseIntOption(std::string_view name, std::string_view raw) {
+  return static_cast<T>(parseIntInRange(name, raw,
+                                        std::numeric_limits<T>::min(),
+                                        std::numeric_limits<T>::max()));
+}
 
 class ArgParser {
  public:
@@ -30,7 +46,11 @@ class ArgParser {
   bool flag(std::string_view name) const;
   const std::string& option(std::string_view name) const;
   double optionDouble(std::string_view name) const;
-  std::int64_t optionInt(std::string_view name) const;
+  /// The option's value as an integer that fits T (parseIntOption).
+  template <std::integral T = std::int64_t>
+  T optionInt(std::string_view name) const {
+    return parseIntOption<T>(name, option(name));
+  }
 
   const std::string& error() const { return error_; }
   std::string help() const;

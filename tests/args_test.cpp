@@ -115,6 +115,28 @@ TEST(ArgsTest, EmbeddedJunkBytesAreJustStrings) {
   EXPECT_THROW(p.optionInt("count"), std::invalid_argument);
 }
 
+TEST(ArgsTest, NarrowIntegersAreRangeCheckedNotWrapped) {
+  auto p = makeParser();
+  ASSERT_TRUE(parse(p, {"--count", "65535"}));
+  EXPECT_EQ(p.optionInt<std::uint16_t>("count"), 65535u);
+  ASSERT_TRUE(parse(p, {"--count", "70000"}));
+  EXPECT_THROW(p.optionInt<std::uint16_t>("count"), std::out_of_range);
+  EXPECT_EQ(p.optionInt<std::uint32_t>("count"), 70000u);
+  ASSERT_TRUE(parse(p, {"--count", "-1"}));
+  EXPECT_THROW(p.optionInt<std::size_t>("count"), std::out_of_range);
+  EXPECT_EQ(p.optionInt("count"), -1);
+  try {
+    p.optionInt<std::uint16_t>("count");
+    FAIL() << "-1 fits no unsigned field";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "option --count: -1 is outside [0, 65535]");
+  }
+  // A value that is no integer at all stays an invalid_argument.
+  EXPECT_THROW(parseIntOption<std::uint16_t>("connect", "80x"),
+               std::invalid_argument);
+  EXPECT_EQ(parseIntOption<std::uint16_t>("connect", "8080"), 8080u);
+}
+
 TEST(ArgsTest, ReparseResetsState) {
   auto p = makeParser();
   ASSERT_TRUE(parse(p, {"--verbose", "--name", "a"}));

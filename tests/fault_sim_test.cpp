@@ -1,4 +1,4 @@
-// Failure-layer tests: engine-level recovery semantics (push loss,
+// Failure-layer tests: the service's recovery semantics (push loss,
 // retry, degraded stale serving, publisher failover, cold vs warm
 // restart), the cachedVersion probe across every strategy, the
 // simulator's fault integration (zero-fault bit-identity, availability
@@ -10,8 +10,7 @@
 #include <limits>
 
 #include "pscd/cache/strategy_factory.h"
-#include "pscd/core/engine.h"
-#include "pscd/core/fault_policy.h"
+#include "pscd/core/service.h"
 #include "pscd/sim/simulator.h"
 #include "pscd/topology/network.h"
 #include "pscd/util/check.h"
@@ -74,6 +73,12 @@ TEST(CachedVersionProbe, AgreesWithStoreStateForEveryStrategy) {
 
 // ------------------------------------------------------ engine faults --
 
+class DiscardSink final : public EventSink {
+ public:
+  void onPush(const PushDelivery&) override {}
+  void onRequest(const RequestDelivery&) override {}
+};
+
 class EngineFaultTest : public ::testing::Test {
  protected:
   EngineFaultTest() : rng_(11), network_(makeParams(), rng_) {}
@@ -82,67 +87,76 @@ class EngineFaultTest : public ::testing::Test {
     return NetworkParams{.numProxies = 3, .numTransitNodes = 2};
   }
 
-  ContentDistributionEngine makeEngine(
-      StrategyKind kind = StrategyKind::kSG2,
+  /// A service under `faults` with an empty fault schedule: every proxy
+  /// and link stays up until the test hands it a fault event.
+  DistributionService makeEngine(
+      const FaultConfig& faults, StrategyKind kind = StrategyKind::kSG2,
       PushScheme scheme = PushScheme::kAlwaysPushing) {
-    EngineConfig ec;
-    ec.strategy = kind;
-    ec.pushScheme = scheme;
-    ec.proxyCapacities = {100000, 100000, 100000};
-    return ContentDistributionEngine(network_, std::move(ec));
+    ServiceConfig sc;
+    sc.engine.strategy = kind;
+    sc.engine.pushScheme = scheme;
+    sc.engine.proxyCapacities = {100000, 100000, 100000};
+    sc.faults = faults;
+    return DistributionService(network_, clock_, sink_, std::move(sc));
   }
 
-  /// A real policy over the test overlay, every proxy and link up.
-  FaultPolicy makePolicy(const FaultConfig& config) const {
-    return FaultPolicy(config, network_);
+  static void proxyEvent(DistributionService& service, ProxyId proxy,
+                         FaultEventKind kind) {
+    FaultEvent event;
+    event.kind = kind;
+    event.proxy = proxy;
+    service.handleFault(event);
   }
 
   /// Crashes `proxy` the way a scheduled fault event does.
-  static void crash(FaultPolicy& policy, ProxyId proxy) {
-    FaultEvent event;
-    event.kind = FaultEventKind::kProxyDown;
-    event.proxy = proxy;
-    policy.apply(event);
+  static void crash(DistributionService& service, ProxyId proxy) {
+    proxyEvent(service, proxy, FaultEventKind::kProxyDown);
   }
 
   /// Partitions `proxy` from the publisher by downing every link at its
   /// node.
-  void isolate(FaultPolicy& policy, ProxyId proxy) const {
+  void isolate(DistributionService& service, ProxyId proxy) const {
     const NodeId node = network_.proxyNode(proxy);
     for (const Graph::Edge& edge : network_.graph().neighbors(node)) {
       FaultEvent event;
       event.kind = FaultEventKind::kLinkDown;
       event.linkA = node;
       event.linkB = edge.to;
-      policy.apply(event);
+      service.handleFault(event);
     }
   }
 
-  /// Publishes `page` at `version` with a subscription at every proxy.
-  static PushDelivery publishAll(ContentDistributionEngine& engine,
-                                 PageId page, Version version,
-                                 FaultPolicy* faults = nullptr) {
+  /// Publishes `page` at `version` to every proxy subscribed to it.
+  static PushDelivery publishAll(DistributionService& service, PageId page,
+                                 Version version) {
     PublishEvent ev;
     ev.time = 1.0;
     ev.page = page;
     ev.version = version;
     ev.size = 500;
-    return engine.publish(ev, faults);
+    return service.handlePublish(ev);
+  }
+
+  RequestDelivery request(DistributionService& service, ProxyId proxy,
+                          PageId page) {
+    clock_.advance(2.0);
+    return service.handleRequest(proxy, page);
   }
 
   Rng rng_;
   Network network_;
+  ManualClock clock_;
+  DiscardSink sink_;
 };
 
 TEST_F(EngineFaultTest, LostPushesAreAccountedUnderAlwaysPushing) {
-  auto engine = makeEngine(StrategyKind::kSG2, PushScheme::kAlwaysPushing);
+  FaultConfig fc;
+  fc.pushLossProbability = 1.0;
+  auto engine = makeEngine(fc, StrategyKind::kSG2, PushScheme::kAlwaysPushing);
   for (ProxyId p = 0; p < 3; ++p) {
     engine.broker().subscribeAggregated(p, 7, 1);
   }
-  FaultConfig fc;
-  fc.pushLossProbability = 1.0;
-  FaultPolicy policy = makePolicy(fc);
-  const PushDelivery s = publishAll(engine, 7, 0, &policy);
+  const PushDelivery s = publishAll(engine, 7, 0);
   EXPECT_EQ(s.proxiesNotified, 3u);
   EXPECT_EQ(s.proxiesStored, 0u);
   EXPECT_EQ(s.pages, 0u);
@@ -155,17 +169,16 @@ TEST_F(EngineFaultTest, LostPushesAreAccountedUnderAlwaysPushing) {
 }
 
 TEST_F(EngineFaultTest, LostPushesCostNothingUnderPushingWhenNecessary) {
+  FaultConfig fc;
+  fc.proxyFailuresPerDay = 1.0;
   auto engine =
-      makeEngine(StrategyKind::kSG2, PushScheme::kPushingWhenNecessary);
+      makeEngine(fc, StrategyKind::kSG2, PushScheme::kPushingWhenNecessary);
   for (ProxyId p = 0; p < 3; ++p) {
     engine.broker().subscribeAggregated(p, 7, 1);
   }
-  FaultConfig fc;
-  fc.proxyFailuresPerDay = 1.0;
-  FaultPolicy policy = makePolicy(fc);
-  crash(policy, 0);
-  crash(policy, 2);
-  const PushDelivery s = publishAll(engine, 7, 0, &policy);
+  crash(engine, 0);
+  crash(engine, 2);
+  const PushDelivery s = publishAll(engine, 7, 0);
   // The meta-exchange already failed for proxies 0 and 2, so no bytes
   // were wasted on them; proxy 1 stored normally.
   EXPECT_EQ(s.pagesLost, 0u);
@@ -176,19 +189,19 @@ TEST_F(EngineFaultTest, LostPushesCostNothingUnderPushingWhenNecessary) {
 }
 
 TEST_F(EngineFaultTest, RetriesThenServesStaleFromCache) {
-  auto engine = makeEngine();
+  FaultConfig fc;
+  fc.fetchFailureProbability = 1.0;
+  fc.retry.maxRetries = 2;
+  auto engine = makeEngine(fc);
   engine.broker().subscribeAggregated(0, 7, 1);
   publishAll(engine, 7, 0);  // proxy 0 stores version 0
   ASSERT_TRUE(engine.strategy(0).cachedVersion(7).has_value());
-  FaultConfig fc;
-  fc.pushLossProbability = 1.0;
-  fc.fetchFailureProbability = 1.0;
-  fc.retry.maxRetries = 2;
-  FaultPolicy policy = makePolicy(fc);
-  publishAll(engine, 7, 1, &policy);  // version 1 never arrives
+  // Proxy 0 is not notified of version 1, so its copy goes stale.
+  engine.broker().unsubscribeAggregated(0, 7, 1);
+  publishAll(engine, 7, 1);
 
   const Bytes usedBefore = engine.strategy(0).usedBytes();
-  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
+  const RequestDelivery s = request(engine, 0, 7);
   EXPECT_TRUE(s.servedStale);
   EXPECT_TRUE(s.stale);
   EXPECT_FALSE(s.hit);
@@ -201,13 +214,12 @@ TEST_F(EngineFaultTest, RetriesThenServesStaleFromCache) {
 }
 
 TEST_F(EngineFaultTest, UncachedPageWithFailedFetchIsUnavailable) {
-  auto engine = makeEngine();
-  publishAll(engine, 7, 0);  // no subscriptions: nothing cached anywhere
   FaultConfig fc;
   fc.fetchFailureProbability = 1.0;
   fc.retry.maxRetries = 3;
-  FaultPolicy policy = makePolicy(fc);
-  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
+  auto engine = makeEngine(fc);
+  publishAll(engine, 7, 0);  // no subscriptions: nothing cached anywhere
+  const RequestDelivery s = request(engine, 0, 7);
   EXPECT_TRUE(s.unavailable);
   EXPECT_FALSE(s.servedStale);
   EXPECT_EQ(s.retries, 3u);
@@ -215,29 +227,27 @@ TEST_F(EngineFaultTest, UncachedPageWithFailedFetchIsUnavailable) {
 }
 
 TEST_F(EngineFaultTest, FreshHitIsImmuneToFetchFailures) {
-  auto engine = makeEngine();
-  engine.broker().subscribeAggregated(0, 7, 1);
-  publishAll(engine, 7, 0);
   FaultConfig fc;
   fc.fetchFailureProbability = 1.0;
   fc.retry.maxRetries = 2;
-  FaultPolicy policy = makePolicy(fc);
-  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
+  auto engine = makeEngine(fc);
+  engine.broker().subscribeAggregated(0, 7, 1);
+  publishAll(engine, 7, 0);
+  const RequestDelivery s = request(engine, 0, 7);
   EXPECT_TRUE(s.hit);
   EXPECT_EQ(s.retries, 0u);
   EXPECT_FALSE(s.servedStale);
 }
 
 TEST_F(EngineFaultTest, DownProxyFailsOverToThePublisher) {
-  auto engine = makeEngine();
-  engine.broker().subscribeAggregated(0, 7, 1);
-  publishAll(engine, 7, 0);
   FaultConfig fc;
   fc.proxyFailuresPerDay = 1.0;
-  FaultPolicy policy = makePolicy(fc);
-  crash(policy, 0);
+  auto engine = makeEngine(fc);
+  engine.broker().subscribeAggregated(0, 7, 1);
+  publishAll(engine, 7, 0);
+  crash(engine, 0);
   const Bytes usedBefore = engine.strategy(0).usedBytes();
-  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
+  const RequestDelivery s = request(engine, 0, 7);
   EXPECT_TRUE(s.failover);
   EXPECT_FALSE(s.hit);
   EXPECT_FALSE(s.unavailable);
@@ -247,33 +257,31 @@ TEST_F(EngineFaultTest, DownProxyFailsOverToThePublisher) {
 }
 
 TEST_F(EngineFaultTest, DownProxyWithoutFailoverIsUnavailable) {
-  auto engine = makeEngine();
-  publishAll(engine, 7, 0);
   FaultConfig fc;
   fc.proxyFailuresPerDay = 1.0;
   fc.publisherFailover = false;
   fc.retry.maxRetries = 4;
-  FaultPolicy policy = makePolicy(fc);
-  crash(policy, 0);
-  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
+  auto engine = makeEngine(fc);
+  publishAll(engine, 7, 0);
+  crash(engine, 0);
+  const RequestDelivery s = request(engine, 0, 7);
   EXPECT_TRUE(s.unavailable);
   EXPECT_FALSE(s.failover);
   EXPECT_EQ(s.retries, 0u);
 }
 
 TEST_F(EngineFaultTest, PartitionedProxyCannotFetch) {
-  auto engine = makeEngine();
-  engine.broker().subscribeAggregated(0, 7, 1);
-  publishAll(engine, 7, 0);
   FaultConfig fc;
   fc.linkFailuresPerDay = 1.0;
   fc.retry.maxRetries = 3;
-  FaultPolicy policy = makePolicy(fc);
-  isolate(policy, 0);
-  ASSERT_FALSE(policy.pathToPublisher(0));
-  // The push of version 1 cannot reach the partitioned proxy.
-  EXPECT_EQ(publishAll(engine, 7, 1, &policy).pagesLost, 1u);
-  const RequestDelivery s = engine.request(0, 7, 2.0, &policy);
+  auto engine = makeEngine(fc);
+  engine.broker().subscribeAggregated(0, 7, 1);
+  publishAll(engine, 7, 0);
+  isolate(engine, 0);
+  // The push of version 1 cannot reach the partitioned proxy (pushes
+  // are never lost at random here).
+  EXPECT_EQ(publishAll(engine, 7, 1).pagesLost, 1u);
+  const RequestDelivery s = request(engine, 0, 7);
   // Every attempt times out even though fetches never fail at random
   // here; the stale copy still saves the request.
   EXPECT_TRUE(s.servedStale);
@@ -281,20 +289,25 @@ TEST_F(EngineFaultTest, PartitionedProxyCannotFetch) {
 }
 
 TEST_F(EngineFaultTest, ColdRestartWipesTheCacheWarmKeepsIt) {
-  auto engine = makeEngine();
-  engine.broker().subscribeAggregated(0, 7, 1);
-  publishAll(engine, 7, 0);
-  ASSERT_GT(engine.strategy(0).usedBytes(), 0u);
-  engine.restartProxy(0, /*warm=*/true);
-  EXPECT_GT(engine.strategy(0).usedBytes(), 0u);
-  EXPECT_TRUE(engine.strategy(0).cachedVersion(7).has_value());
-  engine.restartProxy(0, /*warm=*/false);
-  EXPECT_EQ(engine.strategy(0).usedBytes(), 0u);
-  EXPECT_FALSE(engine.strategy(0).cachedVersion(7).has_value());
-  // The rebuilt strategy is fully functional and keeps its capacity.
-  EXPECT_EQ(engine.strategy(0).capacityBytes(), 100000u);
-  EXPECT_NO_THROW(engine.checkInvariants());
-  EXPECT_THROW(engine.restartProxy(9, false), std::out_of_range);
+  for (const bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "warm restart" : "cold restart");
+    FaultConfig fc;
+    fc.proxyFailuresPerDay = 1.0;
+    fc.warmRestart = warm;
+    auto engine = makeEngine(fc);
+    engine.broker().subscribeAggregated(0, 7, 1);
+    publishAll(engine, 7, 0);
+    ASSERT_GT(engine.strategy(0).usedBytes(), 0u);
+    crash(engine, 0);
+    proxyEvent(engine, 0, FaultEventKind::kProxyUp);
+    EXPECT_EQ(engine.strategy(0).usedBytes() > 0, warm);
+    EXPECT_EQ(engine.strategy(0).cachedVersion(7).has_value(), warm);
+    // The restarted strategy is fully functional and keeps its capacity.
+    EXPECT_EQ(engine.strategy(0).capacityBytes(), 100000u);
+    EXPECT_NO_THROW(engine.checkInvariants());
+    EXPECT_THROW(proxyEvent(engine, 9, FaultEventKind::kProxyUp),
+                 CheckFailure);
+  }
 }
 
 // --------------------------------------------------- simulator faults --
@@ -448,6 +461,23 @@ TEST_F(FaultSimTest, RejectsOutOfRangeLatencyAndFractionConfig) {
   });
   expectRejected([](SimConfig& c) { c.faults.pushLossProbability = 2.0; });
   expectRejected([](SimConfig& c) { c.faults.retry.backoffFactor = 0.0; });
+}
+
+TEST_F(FaultSimTest, FixedPartitionMayStartOutsideTheLapWindow) {
+  // The [min, max] window bounds DC-LAP only: DC-FP at a 10% push cache
+  // (below the default 25% minimum) is a valid configuration.
+  SimConfig c;
+  c.strategy = StrategyKind::kDCFP;
+  c.dcInitialPcFraction = 0.1;
+  const SimMetrics m = Simulator(workload_, network_, c).run();
+  EXPECT_EQ(m.requests(), workload_.requests.size());
+}
+
+TEST_F(FaultSimTest, LimitedAdaptivePartitionMustStartInsideItsWindow) {
+  SimConfig c;
+  c.strategy = StrategyKind::kDCLAP;
+  c.dcInitialPcFraction = 0.1;
+  EXPECT_THROW(Simulator(workload_, network_, c), CheckFailure);
 }
 
 TEST_F(FaultSimTest, ExistingInvalidArgumentContractsAreKept) {

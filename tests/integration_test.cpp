@@ -1,14 +1,20 @@
 // End-to-end integration tests on a scaled-down news workload: the
 // paper's headline qualitative results must hold, and the simulator's
-// stream merging must agree with a hand-driven engine replay.
+// stream merging must agree with a hand-driven service replay.
 #include <gtest/gtest.h>
 
-#include "pscd/core/engine.h"
+#include "pscd/core/service.h"
 #include "pscd/sim/experiment.h"
 #include "pscd/sim/simulator.h"
 
 namespace pscd {
 namespace {
+
+class DiscardSink final : public EventSink {
+ public:
+  void onPush(const PushDelivery&) override {}
+  void onRequest(const RequestDelivery&) override {}
+};
 
 WorkloadParams miniParams(double sq = 1.0) {
   WorkloadParams p = newsTraceParams();
@@ -82,7 +88,7 @@ TEST_F(IntegrationTest, TrafficAccountingConsistent) {
 }
 
 TEST_F(IntegrationTest, SimulatorMatchesManualEngineReplay) {
-  // Drive the engine by hand over the merged streams and compare with
+  // Drive a service by hand over the merged streams and compare with
   // the Simulator run — validates the event merge and accounting.
   SimConfig c;
   c.strategy = StrategyKind::kSG2;
@@ -91,16 +97,18 @@ TEST_F(IntegrationTest, SimulatorMatchesManualEngineReplay) {
   Simulator sim(workload_, network_, c);
   const auto fromSim = sim.run();
 
-  EngineConfig ec;
-  ec.strategy = StrategyKind::kSG2;
-  ec.beta = 2.0;
+  ServiceConfig sc;
+  sc.engine.strategy = StrategyKind::kSG2;
+  sc.engine.beta = 2.0;
   for (ProxyId p = 0; p < workload_.numProxies(); ++p) {
-    ec.proxyCapacities.push_back(sim.proxyCapacity(p));
+    sc.engine.proxyCapacities.push_back(sim.proxyCapacity(p));
   }
-  ContentDistributionEngine engine(network_, std::move(ec));
+  ManualClock clock;
+  DiscardSink sink;
+  DistributionService service(network_, clock, sink, std::move(sc));
   for (PageId page = 0; page < workload_.numPages(); ++page) {
     for (const auto& n : workload_.subscriptions(page)) {
-      engine.broker().subscribeAggregated(n.proxy, page, n.matchCount);
+      service.broker().subscribeAggregated(n.proxy, page, n.matchCount);
     }
   }
   std::uint64_t hits = 0, pushes = 0;
@@ -111,10 +119,13 @@ TEST_F(IntegrationTest, SimulatorMatchesManualEngineReplay) {
         (ri >= workload_.requests.size() ||
          workload_.publishes[pi].time <= workload_.requests[ri].time);
     if (takePublish) {
-      pushes += engine.publish(workload_.publishes[pi++]).pages;
+      const PublishEvent& ev = workload_.publishes[pi++];
+      clock.advance(ev.time);
+      pushes += service.handlePublish(ev).pages;
     } else {
       const auto& r = workload_.requests[ri++];
-      hits += engine.request(r.proxy, r.page, r.time).hit;
+      clock.advance(r.time);
+      hits += service.handleRequest(r.proxy, r.page).hit;
     }
   }
   EXPECT_EQ(hits, fromSim.hits());

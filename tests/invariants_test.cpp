@@ -12,7 +12,7 @@
 #include "pscd/cache/gds_family.h"
 #include "pscd/cache/lru_strategy.h"
 #include "pscd/cache/value_cache.h"
-#include "pscd/core/engine.h"
+#include "pscd/core/service.h"
 #include "pscd/pubsub/broker.h"
 #include "pscd/pubsub/matcher.h"
 #include "pscd/sim/simulator.h"
@@ -75,6 +75,12 @@ class InvariantCorrupter {
 };
 
 namespace {
+
+class DiscardSink final : public EventSink {
+ public:
+  void onPush(const PushDelivery&) override {}
+  void onRequest(const RequestDelivery&) override {}
+};
 
 CacheEntry entry(PageId page, Bytes size) {
   CacheEntry e;
@@ -290,22 +296,27 @@ TEST(NetworkInvariantsTest, PassesFreshAndDetectsSkewedCosts) {
 TEST(EngineInvariantsTest, EndToEndStateStaysValid) {
   Rng rng(5);
   Network network(NetworkParams{.numProxies = 4, .numTransitNodes = 2}, rng);
-  EngineConfig ec;
-  ec.strategy = StrategyKind::kSG2;
-  ec.beta = 2.0;
-  ec.proxyCapacities = {200, 200, 200, 200};
-  ContentDistributionEngine engine(network, std::move(ec));
-  engine.broker().subscribeAggregated(0, 1, 2);
-  engine.broker().subscribeAggregated(2, 1, 1);
+  ServiceConfig sc;
+  sc.engine.strategy = StrategyKind::kSG2;
+  sc.engine.beta = 2.0;
+  sc.engine.proxyCapacities = {200, 200, 200, 200};
+  ManualClock clock;
+  DiscardSink sink;
+  DistributionService service(network, clock, sink, std::move(sc));
+  service.broker().subscribeAggregated(0, 1, 2);
+  service.broker().subscribeAggregated(2, 1, 1);
   PublishEvent ev;
   ev.page = 1;
   ev.version = 1;
   ev.size = 50;
   ev.time = 0.5;
-  engine.publish(ev);
-  engine.request(0, 1, 1.0);
-  engine.request(1, 1, 1.5);
-  EXPECT_NO_THROW(engine.checkInvariants());
+  clock.advance(ev.time);
+  service.handlePublish(ev);
+  clock.advance(1.0);
+  service.handleRequest(0, 1);
+  clock.advance(1.5);
+  service.handleRequest(1, 1);
+  EXPECT_NO_THROW(service.checkInvariants());
 }
 
 TEST(SimulatorSelfCheckTest, HourlySelfCheckRunsGreenEndToEnd) {

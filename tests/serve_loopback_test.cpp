@@ -27,13 +27,6 @@
 namespace pscd::net {
 namespace {
 
-/// Fixed-time clock for the oracle service: proves the comparison does
-/// not depend on the daemon's wall clock.
-class ZeroClock final : public Clock {
- public:
-  SimTime now() const override { return 0.0; }
-};
-
 std::size_t countOpenFds() {
   std::size_t n = 0;
   for ([[maybe_unused]] const auto& entry :
@@ -74,7 +67,7 @@ class ServeLoopbackTest : public ::testing::Test {
   void RunLockstep() {
     WireClient client = connect();
     const Network network = ServeHost::buildNetwork(config_);
-    ZeroClock clock;
+    ManualClock clock;  // fixed at 0: the oracle ignores the wall clock
     WireSink sink;
     DistributionService oracle(network, clock, sink,
                                ServeHost::buildServiceConfig(config_));
@@ -165,7 +158,7 @@ TEST_F(ServeLoopbackTest, SubscribePublishNotifyFanout) {
 
   // Oracle: the same broker state driven directly.
   const Network network = ServeHost::buildNetwork(config_);
-  ZeroClock clock;
+  ManualClock clock;  // fixed at 0: the oracle ignores the wall clock
   WireSink sink;
   DistributionService oracle(network, clock, sink,
                              ServeHost::buildServiceConfig(config_));
@@ -237,7 +230,7 @@ TEST_F(ServeLoopbackTest, SubscribeCountOverflowAnswersErrorAndKeepsTheCount) {
   StopHost();
   EXPECT_EQ(host_->daemon().stats().errorResponses, 1u);
   EXPECT_EQ(host_->service().broker().aggregatedCount(0, 5), 0xFFFFFFFFu);
-  host_->service().engine().checkInvariants();
+  host_->service().checkInvariants();
 }
 
 TEST_F(ServeLoopbackTest, GarbageBytesCloseOnlyThatConnection) {

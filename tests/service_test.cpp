@@ -1,8 +1,8 @@
 // DistributionService as its drivers see it: every handlePublish/
 // handleRequest return is the very record its EventSink received, with
 // the failure layer off and with every failure process on; a request is
-// priced from that record; and a bad proxy throws std::out_of_range in
-// both modes.
+// priced from that record; a push is stamped with its event's time; and
+// a bad proxy throws std::out_of_range in both modes.
 #include "pscd/core/service.h"
 
 #include <gtest/gtest.h>
@@ -14,15 +14,6 @@
 
 namespace pscd {
 namespace {
-
-class ManualClock final : public Clock {
- public:
-  SimTime now() const override { return now_; }
-  void advance(SimTime t) { now_ = t; }
-
- private:
-  SimTime now_ = 0.0;
-};
 
 class RecordingSink final : public EventSink {
  public:
@@ -172,6 +163,21 @@ TEST_F(ServiceTest, RequestsArePricedByTheLatencyModel) {
   const RequestDelivery miss = service.handleRequest(1, 1);
   ASSERT_FALSE(miss.hit);
   EXPECT_EQ(miss.responseTimeMs, 5.0 + 100.0 * network_.fetchCost(1));
+}
+
+TEST_F(ServiceTest, PushRecordCarriesTheEventTime) {
+  // The push is stamped with the time its strategies saw (event.time),
+  // not with a second read of the Clock.
+  ManualClock clock;
+  RecordingSink sink;
+  DistributionService service(network_, clock, sink,
+                              makeConfig(FaultConfig{}));
+  service.broker().subscribeAggregated(0, 1, 1);
+  clock.advance(100.0);
+  const PushDelivery d = service.handlePublish(PublishEvent{40.0, 1, 1, 100});
+  EXPECT_EQ(d.time, 40.0);
+  ASSERT_EQ(sink.pushes.size(), 1u);
+  EXPECT_EQ(sink.pushes.back().time, 40.0);
 }
 
 TEST_F(ServiceTest, BadProxyThrowsOutOfRangeInBothModes) {

@@ -14,6 +14,7 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "pscd/net/chaos.h"
 #include "pscd/util/args.h"
@@ -64,30 +65,28 @@ int main(int argc, char** argv) {
   try {
     pscd::net::ChaosConfig config;
     config.bindAddress = args.option("bind");
-    config.port = static_cast<std::uint16_t>(args.optionInt("port"));
+    config.port = args.optionInt<std::uint16_t>("port");
     const std::string connect = args.option("connect");
     const std::size_t colon = connect.rfind(':');
     if (connect.empty() || colon == std::string::npos) {
       throw std::invalid_argument("--connect must be HOST:PORT");
     }
     config.targetAddress = connect.substr(0, colon);
-    config.targetPort = static_cast<std::uint16_t>(
-        std::stoul(connect.substr(colon + 1)));
-    config.seed = static_cast<std::uint64_t>(args.optionInt("seed"));
+    config.targetPort = pscd::parseIntOption<std::uint16_t>(
+        "connect", std::string_view(connect).substr(colon + 1));
+    config.seed = args.optionInt<std::uint64_t>("seed");
     config.clientToServer.latencySeconds =
         args.optionDouble("latency-ms") / 1000.0;
     config.clientToServer.jitterSeconds =
         args.optionDouble("jitter-ms") / 1000.0;
     config.clientToServer.bytesPerSecond = args.optionDouble("bps");
     config.clientToServer.stallAfterBytes =
-        static_cast<std::uint64_t>(args.optionInt("stall-bytes"));
+        args.optionInt<std::uint64_t>("stall-bytes");
     config.clientToServer.truncateAfterBytes =
-        static_cast<std::uint64_t>(args.optionInt("truncate-bytes"));
+        args.optionInt<std::uint64_t>("truncate-bytes");
     config.serverToClient = config.clientToServer;
-    config.resetAfterClientBytes =
-        static_cast<std::uint64_t>(args.optionInt("reset-bytes"));
-    config.faultConnections =
-        static_cast<std::uint32_t>(args.optionInt("fault-conns"));
+    config.resetAfterClientBytes = args.optionInt<std::uint64_t>("reset-bytes");
+    config.faultConnections = args.optionInt<std::uint32_t>("fault-conns");
 
     pscd::net::ChaosProxy proxy(config);
     g_proxy = &proxy;
@@ -103,6 +102,10 @@ int main(int argc, char** argv) {
 
     std::printf("%s\n", pscd::net::formatChaosStats(proxy.stats()).c_str());
     return 0;
+  } catch (const std::out_of_range& e) {
+    // An integer flag whose value does not fit its field.
+    std::fprintf(stderr, "pscd_chaos: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pscd_chaos: %s\n", e.what());
     return 1;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "pscd/cache/strategy_factory.h"
@@ -82,29 +83,25 @@ int main(int argc, char** argv) {
 
   try {
     pscd::net::ServeHostConfig hostConfig;
-    hostConfig.numProxies =
-        static_cast<std::uint32_t>(args.optionInt("proxies"));
-    hostConfig.numTransitNodes =
-        static_cast<std::uint32_t>(args.optionInt("transit"));
-    hostConfig.networkSeed = static_cast<std::uint64_t>(args.optionInt("seed"));
+    hostConfig.numProxies = args.optionInt<std::uint32_t>("proxies");
+    hostConfig.numTransitNodes = args.optionInt<std::uint32_t>("transit");
+    hostConfig.networkSeed = args.optionInt<std::uint64_t>("seed");
     hostConfig.strategy = pscd::parseStrategyKind(args.option("strategy"));
     hostConfig.beta = args.optionDouble("beta");
-    hostConfig.capacityPerProxy =
-        static_cast<pscd::Bytes>(args.optionInt("capacity"));
+    hostConfig.capacityPerProxy = args.optionInt<pscd::Bytes>("capacity");
 
     pscd::net::DaemonConfig daemonConfig;
     daemonConfig.bindAddress = args.option("bind");
-    daemonConfig.port = static_cast<std::uint16_t>(args.optionInt("port"));
+    daemonConfig.port = args.optionInt<std::uint16_t>("port");
     daemonConfig.maxConnections =
-        static_cast<std::size_t>(args.optionInt("max-connections"));
+        args.optionInt<std::size_t>("max-connections");
     daemonConfig.idleTimeoutSeconds =
         args.optionDouble("idle-timeout-ms") / 1000.0;
     daemonConfig.readTimeoutSeconds =
         args.optionDouble("read-timeout-ms") / 1000.0;
     daemonConfig.writeTimeoutSeconds =
         args.optionDouble("write-timeout-ms") / 1000.0;
-    daemonConfig.shedThreshold =
-        static_cast<std::size_t>(args.optionInt("shed"));
+    daemonConfig.shedThreshold = args.optionInt<std::size_t>("shed");
     const double drainMs = args.optionDouble("drain-ms");
     if (drainMs > 0) daemonConfig.drainSeconds = drainMs / 1000.0;
 
@@ -136,6 +133,10 @@ int main(int argc, char** argv) {
         counters.hitRatio());
     std::printf("%s\n", pscd::net::formatDaemonStats(stats).c_str());
     return 0;
+  } catch (const std::out_of_range& e) {
+    // An integer flag whose value does not fit its field.
+    std::fprintf(stderr, "pscd_daemon: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pscd_daemon: %s\n", e.what());
     return 1;
