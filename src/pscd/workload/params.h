@@ -10,12 +10,16 @@
 
 namespace pscd {
 
+/// Bound on the horizon: below it every request time stays under 2^53 s,
+/// where the time of day is an exact integer-day remainder.
+inline constexpr SimTime kMaxHorizon = 0x1p52;
+
 struct PublishingParams {
   /// Distinct pages (the paper: 6000 distinct, ~30k publish events).
   std::uint32_t numPages = 6000;
   /// Pages that receive modified versions (the paper: 2400).
   std::uint32_t numUpdatedPages = 2400;
-  /// Simulation horizon (7 days).
+  /// Simulation horizon (7 days); finite and below kMaxHorizon.
   SimTime horizon = 7 * kDay;
   /// Step-wise modification-interval distribution: 5% shorter than an
   /// hour, 5% longer than a day, the rest in between (section 4.1).

@@ -18,9 +18,13 @@ namespace pscd {
 /// so rates drop about one order of magnitude from class to class.
 std::uint8_t popularityClassForRank(std::uint32_t rank, double alpha);
 
+/// std::fmod(t, kDay), computed as an exact integer-day remainder; equal
+/// to it bit for bit for 0 <= t < 2^53.
+SimTime timeOfDay(SimTime t);
+
 /// Fills pages[*].popularityRank/popularityClass/requestCount and
-/// returns the time-sorted request stream. `horizon` must match the
-/// publishing generator's.
+/// returns the request stream ordered by (time, page, proxy,
+/// notificationDriven). `horizon` must match the publishing generator's.
 std::vector<RequestEvent> generateRequests(const RequestParams& params,
                                            SimTime horizon,
                                            std::vector<PageInfo>& pages,

@@ -102,9 +102,16 @@ std::vector<SubscriptionChurnEvent> generateSubscriptionChurn(
     ev.toPage = targetSampler.sample(rng);
     events.push_back(ev);
   }
+  // A full key, so equal times keep one order whatever the standard
+  // library's sort does with ties.
   std::sort(events.begin(), events.end(),
             [](const SubscriptionChurnEvent& a,
-               const SubscriptionChurnEvent& b) { return a.time < b.time; });
+               const SubscriptionChurnEvent& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.proxy != b.proxy) return a.proxy < b.proxy;
+              if (a.fromPage != b.fromPage) return a.fromPage < b.fromPage;
+              return a.toPage < b.toPage;
+            });
   return events;
 }
 

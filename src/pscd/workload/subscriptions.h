@@ -30,7 +30,8 @@ SubscriptionTable generateSubscriptions(const SubscriptionParams& params,
 /// Generates churn events for params.churnPerDay: each event moves one
 /// subscription from a (count-weighted) random existing entry to a
 /// popularity-weighted random other page at the same proxy. Events are
-/// sorted by time. pages[*].popularityRank must be set.
+/// sorted by (time, proxy, fromPage, toPage). pages[*].popularityRank
+/// must be set.
 std::vector<SubscriptionChurnEvent> generateSubscriptionChurn(
     const SubscriptionParams& params, const SubscriptionTable& table,
     const std::vector<PageInfo>& pages, double zipfAlpha, SimTime horizon,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <stdexcept>
 
 #include "pscd/util/rng.h"
@@ -148,14 +147,16 @@ Workload buildWorkload(const WorkloadParams& params) {
 
   // Unique bytes requested per proxy (for the capacity settings): the
   // total size of the distinct pages each proxy requests over the whole
-  // trace, as in section 5.1.
+  // trace, as in section 5.1. One bit per (page, proxy) pair marks the
+  // pairs already counted.
   w.uniqueBytesRequested.assign(w.numProxies(), 0);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(w.requests.size());
+  std::vector<bool> seen(static_cast<std::size_t>(w.numPages()) *
+                         w.numProxies());
   for (const RequestEvent& r : w.requests) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(r.page) << 32) |
-                              r.proxy;
-    if (seen.insert(key).second) {
+    const std::size_t pair =
+        static_cast<std::size_t>(r.page) * w.numProxies() + r.proxy;
+    if (!seen[pair]) {
+      seen[pair] = true;
       w.uniqueBytesRequested[r.proxy] += w.pages[r.page].size;
     }
   }

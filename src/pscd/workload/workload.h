@@ -29,13 +29,18 @@ struct PageInfo {
   std::uint32_t requestCount = 0;
 };
 
+/// Most proxies a trace can hold: a request keeps its proxy id in 31
+/// bits.
+inline constexpr std::uint32_t kMaxProxies = 1u << 31;
+
 struct RequestEvent {
   SimTime time = 0.0;
   PageId page = kInvalidPage;
-  ProxyId proxy = 0;
+  ProxyId proxy : 31 = 0;
   /// False for the future-work scenario of readers who never subscribed.
-  bool notificationDriven = true;
+  bool notificationDriven : 1 = true;
 };
+static_assert(sizeof(RequestEvent) == 16);
 
 /// A user at `proxy` drops one subscription to `fromPage` and subscribes
 /// to `toPage` instead (extension: the paper assumes static
@@ -51,15 +56,16 @@ struct Workload {
   WorkloadParams params;
   std::vector<PageInfo> pages;
   std::vector<PublishEvent> publishes;  // sorted by time
-  std::vector<RequestEvent> requests;   // sorted by time
+  /// Sorted by (time, page, proxy, notificationDriven).
+  std::vector<RequestEvent> requests;
 
   // Subscription counts in CSR form: row per page, entries sorted by
   // proxy. subOffsets has numPages + 1 elements.
   std::vector<std::uint32_t> subOffsets;
   std::vector<Notification> subEntries;
 
-  /// Subscription churn events, sorted by time (empty when
-  /// params.subscription.churnPerDay is 0).
+  /// Subscription churn events, sorted by (time, proxy, fromPage,
+  /// toPage) (empty when params.subscription.churnPerDay is 0).
   std::vector<SubscriptionChurnEvent> churn;
 
   /// Unique bytes requested per proxy over the whole trace; cache

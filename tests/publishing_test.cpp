@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 namespace pscd {
 namespace {
@@ -163,6 +165,25 @@ TEST(PublishingTest, RejectsBadParams) {
   p = smallParams();
   p.maxVersionsPerPage = 0;
   EXPECT_THROW(generatePublishing(p, 1.5, 0.85, rng), std::invalid_argument);
+}
+
+TEST(PublishingTest, RejectsBadHorizonByName) {
+  // A non-finite horizon used to get as far as the request generator and
+  // fail there as "DiscreteSampler: empty weights".
+  for (const SimTime horizon :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 0.0, -kDay, kMaxHorizon}) {
+    Rng rng(1);
+    PublishingParams p = smallParams();
+    p.horizon = horizon;
+    try {
+      generatePublishing(p, 1.5, 0.85, rng);
+      ADD_FAILURE() << "horizon " << horizon << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("horizon"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "pscd/workload/publishing.h"
 
@@ -197,6 +201,86 @@ TEST(RequestsTest, FreshnessBiasForTopClass) {
   ASSERT_GT(ages.size(), 100u);
   std::sort(ages.begin(), ages.end());
   EXPECT_LT(ages[ages.size() / 2], 6 * kHour);
+}
+
+TEST(RequestsTest, TimeOfDayEqualsFmodBitForBit) {
+  const auto same = [](SimTime t) {
+    return std::bit_cast<std::uint64_t>(timeOfDay(t)) ==
+           std::bit_cast<std::uint64_t>(std::fmod(t, kDay));
+  };
+  Rng rng(25);
+  // Random times at every scale up to the horizon bound.
+  for (int i = 0; i < 100000; ++i) {
+    const SimTime t = std::ldexp(rng.uniform(), static_cast<int>(i % 53));
+    ASSERT_TRUE(same(t)) << std::hexfloat << t;
+  }
+  // +-64 ulps around day boundaries, where t / kDay rounds across them.
+  for (int i = 0; i < 2000; ++i) {
+    const auto maxDay = static_cast<std::uint64_t>(kMaxHorizon / kDay);
+    const std::uint64_t day =
+        i < 1000 ? static_cast<std::uint64_t>(i) : rng.uniformInt(maxDay) + 1;
+    SimTime t = static_cast<double>(day) * kDay;
+    for (int k = 0; k < 64 && t > 0; ++k) t = std::nextafter(t, 0.0);
+    for (int k = 0; k <= 128; ++k) {
+      ASSERT_TRUE(same(t)) << std::hexfloat << t << " near day " << day;
+      t = std::nextafter(t, kMaxHorizon);
+    }
+  }
+}
+
+TEST(RequestsTest, EqualTimesOrderedByProxyThenFlag) {
+  // Every page publishes once, a second before the horizon: most of its
+  // requests fall past the horizon and are clamped onto it, so one page
+  // gets many requests at one time, from three proxies, with both flags.
+  auto s = makeSetup(27);
+  for (auto& p : s.pages) {
+    p.firstPublish = s.horizon - 1.0;
+    p.modificationInterval = 0.0;
+    p.numVersions = 1;
+  }
+  s.params.numProxies = 3;
+  s.params.minServerPool = 3;
+  s.params.notificationDrivenFraction = 0.5;
+  Rng rng(28);
+  const auto reqs = generateRequests(s.params, s.horizon, s.pages, rng);
+  const auto key = [](const RequestEvent& r) {
+    return std::make_tuple(r.time, r.page, static_cast<ProxyId>(r.proxy),
+                           static_cast<bool>(r.notificationDriven));
+  };
+  std::size_t fullTies = 0, flagTies = 0;
+  for (std::size_t i = 1; i < reqs.size(); ++i) {
+    ASSERT_LE(key(reqs[i - 1]), key(reqs[i])) << "at " << i;
+    if (reqs[i - 1].time == s.horizon && reqs[i].time == s.horizon &&
+        reqs[i - 1].page == reqs[i].page &&
+        reqs[i - 1].proxy == reqs[i].proxy) {
+      ++fullTies;
+      if (reqs[i - 1].notificationDriven != reqs[i].notificationDriven) {
+        ++flagTies;
+      }
+    }
+  }
+  EXPECT_GT(fullTies, 1000u);
+  EXPECT_GT(flagTies, 100u);
+}
+
+TEST(RequestsTest, RejectsTooManyProxiesAndBadHorizonByName) {
+  auto s = makeSetup(29);
+  const auto error = [&](const RequestParams& params, SimTime horizon) {
+    Rng rng(30);
+    try {
+      generateRequests(params, horizon, s.pages, rng);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  RequestParams many = s.params;
+  many.numProxies = kMaxProxies + 1;
+  EXPECT_NE(error(many, s.horizon).find("2^31"), std::string::npos);
+  EXPECT_NE(error(s.params, kMaxHorizon).find("horizon"), std::string::npos);
+  EXPECT_NE(error(s.params, std::numeric_limits<double>::quiet_NaN())
+                .find("horizon"),
+            std::string::npos);
 }
 
 }  // namespace

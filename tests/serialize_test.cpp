@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -118,6 +119,33 @@ TEST(SerializeTest, InvalidNotificationDrivenByteRejected) {
   // The bool lives after time (8) + page (4) + proxy (4).
   bytes[requestsOffset + 16] = 0x07;
   EXPECT_NE(loadError(bytes).find("notificationDriven"), std::string::npos);
+}
+
+TEST(SerializeTest, MoreThan2To31ProxiesRejectedByName) {
+  std::string bytes = savedBytes(buildWorkload(tinyParams()));
+  const std::uint32_t tooMany = kMaxProxies + 1;
+  std::memcpy(bytes.data() + kParamsOffset +
+                  offsetof(WorkloadParams, request) +
+                  offsetof(RequestParams, numProxies),
+              &tooMany, sizeof(tooMany));
+  EXPECT_NE(loadError(bytes).find("2^31"), std::string::npos);
+}
+
+TEST(SerializeTest, RequestRecordsStay24BytesOnDisk) {
+  const Workload w = buildWorkload(tinyParams());
+  // RequestEvent is 16 bytes in memory; the format keeps its 24-byte
+  // records, so traces written before the packing still load.
+  const std::size_t requestsOffset =
+      kPagesOffset + 8 + w.pages.size() * sizeof(PageInfo) + 8 +
+      w.publishes.size() * sizeof(PublishEvent);
+  const std::string bytes = savedBytes(w);
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + requestsOffset, sizeof(count));
+  ASSERT_EQ(count, w.requests.size());
+  const std::size_t subOffsetsOffset = requestsOffset + 8 + count * 24;
+  std::uint64_t offsets = 0;
+  std::memcpy(&offsets, bytes.data() + subOffsetsOffset, sizeof(offsets));
+  EXPECT_EQ(offsets, w.subOffsets.size());
 }
 
 TEST(SerializeTest, RoundTripPreservesNotificationDrivenFlags) {

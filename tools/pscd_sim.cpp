@@ -1,18 +1,33 @@
 // pscd_sim: command-line front end to the simulator. Runs one strategy
 // over a canonical or customized trace and reports hit ratio and
-// traffic; optionally dumps the hourly series as CSV.
+// traffic, then the trace build time, the simulation time and the peak
+// RSS; optionally dumps the hourly series as CSV.
 //
 //   $ pscd_sim --trace NEWS --strategy SG2 --capacity 0.05
 //   $ pscd_sim --trace ALT --strategy "GD*" --sq 0.5 --hourly-csv h.csv
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 
 #include "pscd/pscd.h"
 #include "pscd/util/args.h"
+#include "pscd/util/wallclock.h"
 #include "pscd/version.h"
 
 using namespace pscd;
+
+namespace {
+
+/// Peak resident set of the process so far, in MB (Linux reports KB).
+double peakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args("pscd_sim",
@@ -95,7 +110,9 @@ int main(int argc, char** argv) {
 
     const bool quiet = args.flag("quiet");
     if (!quiet) std::printf("generating %s workload...\n", traceArg.c_str());
+    const double buildStart = monotonicSeconds();
     const Workload workload = buildWorkload(params);
+    const double buildSeconds = monotonicSeconds() - buildStart;
 
     Rng topoRng(static_cast<std::uint64_t>(args.optionInt("topology-seed")));
     NetworkParams np;
@@ -136,8 +153,10 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(args.optionInt("fault-retries"));
     config.faults.retry.backoffBaseMs = args.optionDouble("fault-backoff-ms");
 
+    const double runStart = monotonicSeconds();
     Simulator sim(workload, network, config);
     const SimMetrics m = sim.run();
+    const double runSeconds = monotonicSeconds() - runStart;
 
     if (config.selfCheckHourly && !quiet) {
       std::printf("self-check       : invariants OK after every hour\n");
@@ -178,6 +197,10 @@ int main(int argc, char** argv) {
                         m.traffic().lostPushPages),
                     m.traffic().lostPushBytes / 1e6);
       }
+      std::printf("trace build      : %.2f s (%zu requests)\n", buildSeconds,
+                  workload.requests.size());
+      std::printf("simulation       : %.2f s\n", runSeconds);
+      std::printf("peak RSS         : %.1f MB\n", peakRssMb());
     }
 
     if (config.collectHourly) {
