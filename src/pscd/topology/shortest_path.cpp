@@ -12,11 +12,11 @@ namespace pscd {
 
 namespace {
 
-/// Skip = anything callable as bool(NodeId, NodeId); the unfiltered
-/// entry point instantiates it with a no-op lambda so the hot path pays
-/// no std::function indirection.
+/// Skip = anything callable as bool(NodeId n, std::size_t i), asked
+/// whether node n's i-th adjacency entry is removed; the unfiltered
+/// entry point instantiates it with a no-op lambda.
 template <typename Skip>
-std::vector<double> dijkstra(const Graph& g, NodeId src, Skip&& skipEdge) {
+std::vector<double> dijkstra(const Graph& g, NodeId src, Skip&& skipSlot) {
   if (src >= g.numNodes()) {
     throw std::out_of_range("shortestPaths: src out of range");
   }
@@ -30,8 +30,10 @@ std::vector<double> dijkstra(const Graph& g, NodeId src, Skip&& skipEdge) {
     const auto [d, n] = pq.top();
     pq.pop();
     if (d > dist[n]) continue;  // stale entry
-    for (const Graph::Edge& e : g.neighbors(n)) {
-      if (skipEdge(n, e.to)) continue;
+    const std::span<const Graph::Edge> edges = g.neighbors(n);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (skipSlot(n, i)) continue;
+      const Graph::Edge& e = edges[i];
       const double nd = d + e.weight;
       if (nd < dist[e.to]) {
         dist[e.to] = nd;
@@ -45,14 +47,18 @@ std::vector<double> dijkstra(const Graph& g, NodeId src, Skip&& skipEdge) {
 }  // namespace
 
 std::vector<double> shortestPaths(const Graph& g, NodeId src) {
-  return dijkstra(g, src, [](NodeId, NodeId) { return false; });
+  return dijkstra(g, src, [](NodeId, std::size_t) { return false; });
 }
 
-std::vector<double> shortestPaths(
-    const Graph& g, NodeId src,
-    const std::function<bool(NodeId, NodeId)>& skipEdge) {
-  PSCD_CHECK(skipEdge != nullptr) << "shortestPaths: null edge filter";
-  return dijkstra(g, src, skipEdge);
+std::vector<double> shortestPaths(const Graph& g, NodeId src,
+                                  std::span<const std::uint32_t> slotBase,
+                                  std::span<const std::uint8_t> slotDown) {
+  PSCD_CHECK(slotBase.size() == g.numNodes() + std::size_t{1} &&
+             slotDown.size() == slotBase.back())
+      << "shortestPaths: slot mask does not cover the graph";
+  return dijkstra(g, src, [&](NodeId n, std::size_t i) {
+    return slotDown[slotBase[n] + i] != 0;
+  });
 }
 
 void checkShortestPathTree(const Graph& g, NodeId src,

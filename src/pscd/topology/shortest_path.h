@@ -2,7 +2,7 @@
 // derive the publisher->proxy fetch costs c(p).
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -13,14 +13,15 @@ namespace pscd {
 /// Distances from src to every node; unreachable nodes get +infinity.
 std::vector<double> shortestPaths(const Graph& g, NodeId src);
 
-/// Residual-graph variant for the failure layer: edges for which
-/// skipEdge(u, v) returns true are treated as removed (the predicate is
-/// consulted once per traversal direction). With an always-false
-/// predicate the result equals shortestPaths(g, src) exactly — same
+/// Residual-graph variant for the failure layer. Adjacency slots are
+/// numbered node-major: node n's i-th neighbors() entry is slot
+/// slotBase[n] + i (slotBase has numNodes() + 1 entries), and a slot
+/// whose slotDown flag is nonzero is treated as removed. With no flag
+/// set the result equals shortestPaths(g, src) exactly — same
 /// relaxation order, same float arithmetic.
-std::vector<double> shortestPaths(
-    const Graph& g, NodeId src,
-    const std::function<bool(NodeId, NodeId)>& skipEdge);
+std::vector<double> shortestPaths(const Graph& g, NodeId src,
+                                  std::span<const std::uint32_t> slotBase,
+                                  std::span<const std::uint8_t> slotDown);
 
 /// Validates a distance vector as a shortest-path solution for (g, src):
 /// dist[src] == 0, every edge satisfies the relaxation inequality

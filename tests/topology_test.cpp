@@ -119,6 +119,42 @@ TEST(ShortestPathTest, RejectsBadSource) {
   EXPECT_THROW(shortestPaths(g, 7), std::out_of_range);
 }
 
+TEST(ShortestPathTest, SlotMaskEqualsTheGraphWithoutThoseEdges) {
+  // Masking a link's two slots must give, bit for bit, the distances of
+  // a graph rebuilt without the link.
+  Rng rng(3);
+  const Graph g = generateWaxman({.numNodes = 60}, rng).graph;
+  std::vector<std::uint32_t> slotBase{0};
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    slotBase.push_back(slotBase.back() + g.degree(n));
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<std::uint8_t> slotDown(slotBase.back(), 0);
+    Graph pruned(g.numNodes());
+    for (NodeId a = 0; a < g.numNodes(); ++a) {
+      for (const Graph::Edge& e : g.neighbors(a)) {
+        if (a > e.to) continue;
+        if (rng.uniformInt(4) != 0) {
+          pruned.addEdge(a, e.to, e.weight);
+          continue;
+        }
+        for (const auto& [from, to] :
+             {std::pair{a, e.to}, std::pair{e.to, a}}) {
+          const auto edges = g.neighbors(from);
+          for (std::size_t i = 0; i < edges.size(); ++i) {
+            if (edges[i].to == to) slotDown[slotBase[from] + i] = 1;
+          }
+        }
+      }
+    }
+    const auto masked = shortestPaths(g, 0, slotBase, slotDown);
+    const auto rebuilt = shortestPaths(pruned, 0);
+    for (NodeId n = 0; n < g.numNodes(); ++n) {
+      EXPECT_EQ(masked[n], rebuilt[n]) << "trial " << trial << " node " << n;
+    }
+  }
+}
+
 TEST(NetworkTest, FetchCostsNormalizedToMeanOne) {
   Rng rng(7);
   const Network net(NetworkParams{.numProxies = 50}, rng);
