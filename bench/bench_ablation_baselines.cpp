@@ -18,22 +18,23 @@ int main(int argc, char** argv) {
   ExperimentContext ctx(42, 7, env.scale);
 
   std::vector<ExperimentCell> cells;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  for (const TraceKind trace : kTraces) {
     for (const double cap : kCapacityFractions) {
       for (const StrategyKind kind : kKinds) {
         cells.push_back({trace, 1.0, kind, cap});
       }
     }
   }
-  runCells(ctx, env, cells);
+  const std::vector<SimMetrics> metrics = runCells(ctx, cells, env.jobs);
 
   CsvSink csv;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  std::size_t i = 0;  // the tables walk the cells in order
+  for (const TraceKind trace : kTraces) {
     AsciiTable table({"capacity", "GD*", "GDS", "LFU-DA", "LRU"});
     for (const double cap : kCapacityFractions) {
       table.row().cell(formatFixed(100 * cap, 0) + "%");
-      for (const StrategyKind kind : kKinds) {
-        table.cell(pct(ctx.run(trace, 1.0, kind, cap).hitRatio()));
+      for (std::size_t k = 0; k < std::size(kKinds); ++k) {
+        table.cell(pct(metrics[i++].hitRatio()));
       }
     }
     std::printf("Hit ratio (%%), trace %s:\n%s\n",

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   ExperimentContext ctx(42, 7, env.scale);
 
   std::vector<ExperimentCell> cells;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  for (const TraceKind trace : kTraces) {
     for (const StrategyKind kind : kKinds) {
       for (const double cap : kCapacityFractions) {
         for (const double beta : kBetas) {
@@ -29,10 +29,11 @@ int main(int argc, char** argv) {
       }
     }
   }
-  runCells(ctx, env, cells);
+  const std::vector<SimMetrics> metrics = runCells(ctx, cells, env.jobs);
 
   CsvSink csv;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  std::size_t i = 0;  // the tables walk the cells in order
+  for (const TraceKind trace : kTraces) {
     std::vector<std::string> header = {"method", "capacity"};
     for (const double b : kBetas) header.push_back("b=" + formatFixed(b, 4));
     header.push_back("best beta");
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
             .cell(formatFixed(100 * cap, 0) + "%");
         double bestBeta = kBetas[0], bestHit = -1.0;
         for (const double beta : kBetas) {
-          const auto m = ctx.runWithBeta(trace, 1.0, kind, cap, beta);
+          const SimMetrics& m = metrics[i++];
           table.cell(pct(m.hitRatio()));
           if (m.hitRatio() > bestHit) {
             bestHit = m.hitRatio();

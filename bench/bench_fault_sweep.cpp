@@ -62,15 +62,6 @@ constexpr double kCap = 0.05;
 /// and topology (7) seeds.
 constexpr std::uint64_t kFaultSeedBase = 1303;
 
-/// The fault config of one sweep cell. Every cell derives a private
-/// seed from its linear index via cellSeed(), so the grid can be built
-/// in any order (and re-built identically in the rendering phase).
-FaultConfig cellFaults(const FaultLevel& level, std::uint64_t index) {
-  FaultConfig fc = level.config;
-  fc.seed = cellSeed(kFaultSeedBase, index);
-  return fc;
-}
-
 /// The warm-restart ablation reuses the medium level with the same
 /// per-cell seed derivation on a disjoint index range.
 constexpr std::uint64_t kWarmIndexBase = 1000;
@@ -87,42 +78,36 @@ int main(int argc, char** argv) {
   ExperimentContext ctx(42, 7, env.scale);
   const std::vector<FaultLevel> levels = faultLevels();
 
-  // Phase 1: fan every (level x scheme x strategy) cell out, plus the
-  // cold-vs-warm restart ablation at the medium level.
+  // Every (level x scheme x strategy) cell, plus the cold-vs-warm
+  // restart ablation at the medium level. Each cell draws its faults
+  // from a private seed derived from its index via cellSeed().
   std::vector<ExperimentCell> cells;
-  std::uint64_t index = 0;
   for (const FaultLevel& level : levels) {
     for (const PushScheme scheme : kSchemes) {
       for (const StrategyKind kind : kKinds) {
         ExperimentCell cell{TraceKind::kNews, 1.0, kind, kCap, scheme};
-        cell.faults = cellFaults(level, index++);
+        cell.faults = level.config;
+        cell.faults.seed = cellSeed(kFaultSeedBase, cells.size());
         cells.push_back(cell);
       }
     }
   }
-  {
-    std::uint64_t warmIndex = kWarmIndexBase;
-    for (const StrategyKind kind : kKinds) {
-      ExperimentCell cell{TraceKind::kNews, 1.0, kind, kCap,
-                          PushScheme::kAlwaysPushing};
-      cell.faults = cellFaults(levels[2], warmIndex++);
-      cell.faults.warmRestart = true;
-      cells.push_back(cell);
-    }
+  const std::size_t warmBase = cells.size();
+  for (std::size_t ki = 0; ki < std::size(kKinds); ++ki) {
+    ExperimentCell cell{TraceKind::kNews, 1.0, kKinds[ki], kCap,
+                        PushScheme::kAlwaysPushing};
+    cell.faults = levels[2].config;
+    cell.faults.seed = cellSeed(kFaultSeedBase, kWarmIndexBase + ki);
+    cell.faults.warmRestart = true;
+    cells.push_back(cell);
   }
-  runCells(ctx, env, cells);
-
-  // Phase 2: render serially from the memoized results, rebuilding each
-  // cell's fault config (same index walk) so the memo keys match.
-  CsvSink csv;
-  const auto cellMetrics = [&](const FaultLevel& level, std::uint64_t idx,
-                               StrategyKind kind, PushScheme scheme,
-                               bool warm = false) {
-    FaultConfig fc = cellFaults(level, idx);
-    fc.warmRestart = warm;
-    return ctx.run(TraceKind::kNews, 1.0, kind, kCap, scheme, false, fc);
+  const std::vector<SimMetrics> metrics = runCells(ctx, cells, env.jobs);
+  const auto at = [&](std::size_t li, std::size_t si,
+                      std::size_t ki) -> const SimMetrics& {
+    return metrics[(li * std::size(kSchemes) + si) * std::size(kKinds) + ki];
   };
 
+  CsvSink csv;
   for (std::size_t si = 0; si < std::size(kSchemes); ++si) {
     AsciiTable avail({"faults", "GD*", "SUB", "SG2", "DC-LAP"});
     AsciiTable hit({"faults", "GD*", "SUB", "SG2", "DC-LAP"});
@@ -136,10 +121,7 @@ int main(int argc, char** argv) {
       retries.row().cell(levels[li].name);
       weighted.row().cell(levels[li].name);
       for (std::size_t ki = 0; ki < std::size(kKinds); ++ki) {
-        const std::uint64_t idx =
-            (li * std::size(kSchemes) + si) * std::size(kKinds) + ki;
-        const SimMetrics m =
-            cellMetrics(levels[li], idx, kKinds[ki], kSchemes[si]);
+        const SimMetrics& m = at(li, si, ki);
         avail.cell(formatFixed(100 * m.availability(), 2) + "%");
         hit.cell(pct(m.hitRatio()));
         staleServe.cell(formatFixed(100 * m.staleServeRate(), 2) + "%");
@@ -171,17 +153,11 @@ int main(int argc, char** argv) {
   AsciiTable restart({"restart", "GD*", "SUB", "SG2", "DC-LAP"});
   restart.row().cell("cold");
   for (std::size_t ki = 0; ki < std::size(kKinds); ++ki) {
-    const std::uint64_t idx = (2 * std::size(kSchemes) + 0) *
-                                  std::size(kKinds) + ki;
-    restart.cell(pct(cellMetrics(levels[2], idx, kKinds[ki],
-                                 PushScheme::kAlwaysPushing)
-                         .hitRatio()));
+    restart.cell(pct(at(2, 0, ki).hitRatio()));
   }
   restart.row().cell("warm");
   for (std::size_t ki = 0; ki < std::size(kKinds); ++ki) {
-    restart.cell(pct(cellMetrics(levels[2], kWarmIndexBase + ki, kKinds[ki],
-                                 PushScheme::kAlwaysPushing, /*warm=*/true)
-                         .hitRatio()));
+    restart.cell(pct(metrics[warmBase + ki].hitRatio()));
   }
   std::printf(
       "Hit ratio (%%) under medium faults, cold vs warm restart "

@@ -22,13 +22,14 @@ int main(int argc, char** argv) {
       cells.push_back({TraceKind::kNews, 1.0, kind, cap});
     }
   }
-  runCells(ctx, env, cells);
+  const std::vector<SimMetrics> metrics = runCells(ctx, cells, env.jobs);
 
   AsciiTable table({"capacity", "GD*", "DM", "DC-FP", "DC-AP", "DC-LAP"});
+  std::size_t i = 0;  // the table walks the cells in order
   for (const double cap : kCapacityFractions) {
     table.row().cell(formatFixed(100 * cap, 0) + "%");
-    for (const StrategyKind kind : kKinds) {
-      table.cell(pct(ctx.run(TraceKind::kNews, 1.0, kind, cap).hitRatio()));
+    for (std::size_t k = 0; k < std::size(kKinds); ++k) {
+      table.cell(pct(metrics[i++].hitRatio()));
     }
   }
   std::printf("Hit ratio (%%), trace NEWS, SQ = 1:\n%s\n",

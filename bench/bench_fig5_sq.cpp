@@ -14,22 +14,23 @@ int main(int argc, char** argv) {
   ExperimentContext ctx(42, 7, env.scale);
 
   std::vector<ExperimentCell> cells;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  for (const TraceKind trace : kTraces) {
     for (const double sq : kQualities) {
       for (const StrategyKind kind : kFigureStrategies) {
         cells.push_back({trace, sq, kind, 0.05});
       }
     }
   }
-  runCells(ctx, env, cells);
+  const std::vector<SimMetrics> metrics = runCells(ctx, cells, env.jobs);
 
   CsvSink csv;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  std::size_t i = 0;  // the tables walk the cells in order
+  for (const TraceKind trace : kTraces) {
     AsciiTable table({"SQ", "GD*", "SUB", "SG1", "SG2", "SR", "DC-LAP"});
     for (const double sq : kQualities) {
       table.row().cell(formatFixed(sq, 2));
-      for (const StrategyKind kind : kFigureStrategies) {
-        table.cell(pct(ctx.run(trace, sq, kind, 0.05).hitRatio()));
+      for (std::size_t k = 0; k < std::size(kFigureStrategies); ++k) {
+        table.cell(pct(metrics[i++].hitRatio()));
       }
     }
     std::printf("Hit ratio (%%), trace %s, capacity = 5%%:\n%s\n",

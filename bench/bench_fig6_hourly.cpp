@@ -1,5 +1,7 @@
 // Figure 6 (a, b): average hit ratio per hour for GD*, SUB and SG2 over
 // the 7-day simulation (SQ = 1, capacity = 5%), for both traces.
+#include <span>
+
 #include "bench_common.h"
 
 using namespace pscd;
@@ -15,25 +17,22 @@ int main(int argc, char** argv) {
   ExperimentContext ctx(42, 7, env.scale);
 
   std::vector<ExperimentCell> cells;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  for (const TraceKind trace : kTraces) {
     for (const StrategyKind kind : kKinds) {
       cells.push_back({trace, 1.0, kind, 0.05, PushScheme::kAlwaysPushing,
                        /*collectHourly=*/true});
     }
   }
-  runCells(ctx, env, cells);
+  const std::vector<SimMetrics> metrics = runCells(ctx, cells, env.jobs);
 
   CsvSink csv;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  for (std::size_t t = 0; t < std::size(kTraces); ++t) {
+    const TraceKind trace = kTraces[t];
     std::printf("Trace %s (SQ = 1, capacity = 5%%), hit ratio (%%):\n",
                 std::string(traceName(trace)).c_str());
     AsciiTable table({"hour", "SG2", "SUB", "GD*"});
-    std::vector<SimMetrics> runs;
-    for (const StrategyKind kind : kKinds) {
-      runs.push_back(ctx.run(trace, 1.0, kind, 0.05,
-                             PushScheme::kAlwaysPushing,
-                             /*collectHourly=*/true));
-    }
+    const std::span<const SimMetrics> runs(
+        metrics.data() + t * std::size(kKinds), std::size(kKinds));
     // Print every 6th hour (the figures plot 168 points; the full series
     // goes to CSV on stdout below).
     for (std::size_t h = 0; h < runs[0].hours(); h += 6) {

@@ -2,6 +2,8 @@
 // the publisher to the proxies for GD*, SUB and SG2 under the two push
 // schemes, Always-Pushing and Pushing-When-Necessary (NEWS trace,
 // SQ = 1, capacity = 5%).
+#include <span>
+
 #include "bench_common.h"
 
 using namespace pscd;
@@ -15,31 +17,29 @@ int main(int argc, char** argv) {
               "figure 7 (a, b)");
   constexpr StrategyKind kKinds[] = {StrategyKind::kSUB, StrategyKind::kSG2,
                                      StrategyKind::kGDStar};
+  constexpr PushScheme kSchemes[] = {PushScheme::kAlwaysPushing,
+                                     PushScheme::kPushingWhenNecessary};
   ExperimentContext ctx(42, 7, env.scale);
 
   std::vector<ExperimentCell> cells;
-  for (const PushScheme scheme :
-       {PushScheme::kAlwaysPushing, PushScheme::kPushingWhenNecessary}) {
+  for (const PushScheme scheme : kSchemes) {
     for (const StrategyKind kind : kKinds) {
       cells.push_back({TraceKind::kNews, 1.0, kind, 0.05, scheme,
                        /*collectHourly=*/true});
     }
   }
-  runCells(ctx, env, cells);
+  const std::vector<SimMetrics> metrics = runCells(ctx, cells, env.jobs);
 
   CsvSink csv;
-  for (const PushScheme scheme :
-       {PushScheme::kAlwaysPushing, PushScheme::kPushingWhenNecessary}) {
+  for (std::size_t s = 0; s < std::size(kSchemes); ++s) {
+    const PushScheme scheme = kSchemes[s];
     const char* name = scheme == PushScheme::kAlwaysPushing
                            ? "Always-Pushing"
                            : "Pushing-When-Necessary";
     std::printf("Scheme: %s (NEWS, SQ = 1, capacity = 5%%)\n", name);
     AsciiTable table({"hour", "SUB", "SG2", "GD*"});
-    std::vector<SimMetrics> runs;
-    for (const StrategyKind kind : kKinds) {
-      runs.push_back(ctx.run(TraceKind::kNews, 1.0, kind, 0.05, scheme,
-                             /*collectHourly=*/true));
-    }
+    const std::span<const SimMetrics> runs(
+        metrics.data() + s * std::size(kKinds), std::size(kKinds));
     for (std::size_t h = 0; h < runs[0].hours(); h += 6) {
       table.row().cell(std::to_string(h));
       for (const auto& m : runs) {

@@ -17,22 +17,22 @@ int main(int argc, char** argv) {
   ExperimentContext ctx(42, 7, env.scale);
 
   std::vector<ExperimentCell> cells;
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
+  for (const TraceKind trace : kTraces) {
     cells.push_back({trace, 1.0, StrategyKind::kGDStar, 0.05});
     for (const StrategyKind kind : kColumns) {
       cells.push_back({trace, 1.0, kind, 0.05});
     }
   }
-  runCells(ctx, env, cells);
+  const std::vector<SimMetrics> metrics = runCells(ctx, cells, env.jobs);
 
   AsciiTable table({"alpha", "SUB", "SG1", "SG2", "SR", "DM", "DC-FP",
                     "DC-LAP"});
-  for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
-    const double gd = ctx.run(trace, 1.0, StrategyKind::kGDStar, 0.05)
-                          .hitRatio();
+  std::size_t i = 0;  // the table walks the cells in order
+  for (const TraceKind trace : kTraces) {
+    const double gd = metrics[i++].hitRatio();
     table.row().cell(trace == TraceKind::kNews ? "1.5" : "1.0");
-    for (const StrategyKind kind : kColumns) {
-      const double h = ctx.run(trace, 1.0, kind, 0.05).hitRatio();
+    for (std::size_t k = 0; k < std::size(kColumns); ++k) {
+      const double h = metrics[i++].hitRatio();
       table.cell(formatFixed(100.0 * (h - gd) / gd, 0));
     }
   }

@@ -65,7 +65,7 @@ void FaultConfig::validate() const {
 namespace {
 
 /// Private seed of one failure entity: decorrelated in (stream, index)
-/// the same way cellSeed() decorrelates parallel-runner cells, so the
+/// the same way cellSeed() decorrelates sweep cells, so the
 /// plan never depends on the order entities are expanded in.
 std::uint64_t entitySeed(std::uint64_t seed, std::uint64_t stream,
                          std::uint64_t index) {

@@ -41,7 +41,6 @@
 #include "pscd/sim/experiment.h"
 #include "pscd/sim/hierarchy.h"
 #include "pscd/sim/metrics.h"
-#include "pscd/sim/parallel_runner.h"
 #include "pscd/sim/simulator.h"
 #include "pscd/topology/barabasi_albert.h"
 #include "pscd/topology/graph.h"

@@ -1,11 +1,12 @@
 #include "pscd/sim/experiment.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <functional>
 
 #include "pscd/sim/simulator.h"
 #include "pscd/util/check.h"
 #include "pscd/util/rng.h"
+#include "pscd/util/thread_pool.h"
 
 namespace pscd {
 
@@ -57,6 +58,14 @@ double paperBeta(StrategyKind strategy, TraceKind trace,
   return capacityFraction < 0.025 ? 1.0 : 2.0;
 }
 
+std::uint64_t cellSeed(std::uint64_t baseSeed, std::uint64_t cellIndex) {
+  // SplitMix64 over (base, index): two rounds decorrelate neighbouring
+  // indices; the golden-ratio increment keeps distinct bases disjoint.
+  std::uint64_t state = baseSeed + (cellIndex + 1) * 0x9e3779b97f4a7c15ull;
+  splitmix64(state);
+  return splitmix64(state);
+}
+
 ExperimentContext::ExperimentContext(std::uint64_t workloadSeed,
                                      std::uint64_t topologySeed, double scale)
     : workloadSeed_(workloadSeed), topologySeed_(topologySeed),
@@ -93,67 +102,44 @@ const Network& ExperimentContext::network() {
   return *network_;
 }
 
-ExperimentContext::FaultKey ExperimentContext::faultKey(
-    const FaultConfig& faults) {
-  return FaultKey{faults.seed,
-                  faults.proxyFailuresPerDay,
-                  faults.proxyMeanDowntimeHours,
-                  faults.warmRestart,
-                  faults.linkFailuresPerDay,
-                  faults.linkMeanDowntimeHours,
-                  faults.pushLossProbability,
-                  faults.fetchFailureProbability,
-                  faults.publisherFailover,
-                  faults.retry.maxRetries,
-                  faults.retry.backoffBaseMs,
-                  faults.retry.backoffFactor};
-}
-
-SimMetrics ExperimentContext::run(TraceKind trace, double subscriptionQuality,
-                                  StrategyKind strategy,
-                                  double capacityFraction, PushScheme scheme,
-                                  bool collectHourly,
-                                  const FaultConfig& faults) {
-  return runWithBeta(trace, subscriptionQuality, strategy, capacityFraction,
-                     paperBeta(strategy, trace, capacityFraction), scheme,
-                     collectHourly, faults);
-}
-
-SimMetrics ExperimentContext::runWithBeta(TraceKind trace,
-                                          double subscriptionQuality,
-                                          StrategyKind strategy,
-                                          double capacityFraction, double beta,
-                                          PushScheme scheme,
-                                          bool collectHourly,
-                                          const FaultConfig& faults) {
-  const CellKey key{static_cast<int>(trace),    subscriptionQuality,
-                    static_cast<int>(strategy), capacityFraction,
-                    beta,                       static_cast<int>(scheme),
-                    collectHourly,              faultKey(faults)};
-  {
-    MutexLock lock(mu_);
-    auto it = results_.find(key);
-    if (it != results_.end()) return it->second;
-  }
+SimMetrics ExperimentContext::run(const ExperimentCell& cell) {
   // Resolve the shared inputs first (each briefly takes the lock), then
   // simulate outside it so independent cells overlap.
-  const Workload& w = workload(trace, subscriptionQuality);
+  const Workload& w = workload(cell.trace, cell.subscriptionQuality);
   const Network& n = network();
   SimConfig config;
-  config.strategy = strategy;
-  config.beta = beta;
-  config.capacityFraction = capacityFraction;
-  config.pushScheme = scheme;
-  config.collectHourly = collectHourly;
-  config.faults = faults;
-  Simulator sim(w, n, config);
-  SimMetrics metrics = sim.run();
-  {
-    // Merge: the simulation is deterministic in the key, so if another
-    // thread raced us to the same cell both results are identical and
-    // either copy may win.
-    MutexLock lock(mu_);
-    results_.emplace(key, metrics);
+  config.strategy = cell.strategy;
+  config.beta = cell.beta.value_or(
+      paperBeta(cell.strategy, cell.trace, cell.capacityFraction));
+  config.capacityFraction = cell.capacityFraction;
+  config.pushScheme = cell.scheme;
+  config.collectHourly = cell.collectHourly;
+  config.faults = cell.faults;
+  return Simulator(w, n, config).run();
+}
+
+std::vector<SimMetrics> runCells(ExperimentContext& ctx,
+                                 const std::vector<ExperimentCell>& cells,
+                                 unsigned jobs) {
+  // Each task writes only its own slot; runAll() joins the batch before
+  // the slots are read.
+  std::vector<std::optional<SimMetrics>> slots(cells.size());
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    tasks.push_back([&, i] { slots[i] = ctx.run(cells[i]); });
+  }
+  const unsigned workers = resolveJobs(jobs);
+  if (workers <= 1) {
+    runAll(nullptr, std::move(tasks));
+  } else {
+    ThreadPool pool(workers);
+    runAll(&pool, std::move(tasks));
+  }
+  std::vector<SimMetrics> metrics;
+  metrics.reserve(cells.size());
+  for (std::optional<SimMetrics>& slot : slots) {
+    metrics.push_back(std::move(*slot));
   }
   return metrics;
 }

@@ -18,7 +18,7 @@ ExperimentContext& ctx() {
 
 double hit(TraceKind trace, StrategyKind kind, double cap = 0.05,
            double sq = 1.0) {
-  return ctx().run(trace, sq, kind, cap).hitRatio();
+  return ctx().run({trace, sq, kind, cap}).hitRatio();
 }
 
 TEST(PaperClaimsTest, Table2AllPushingSchemesBeatGdStarAt5Percent) {
@@ -54,14 +54,13 @@ TEST(PaperClaimsTest, Table2Sg2AndSrLeadTheFamily) {
 TEST(PaperClaimsTest, Table2GainsLargerOnAlternativeTrace) {
   // "The much higher gains for ALTERNATIVE mean that the push-time
   // placement module benefits the non-homogeneous request streams more."
+  const double newsGd = hit(TraceKind::kNews, StrategyKind::kGDStar);
+  const double altGd = hit(TraceKind::kAlternative, StrategyKind::kGDStar);
   for (const StrategyKind kind :
        {StrategyKind::kSUB, StrategyKind::kSG1, StrategyKind::kSG2,
         StrategyKind::kDCLAP}) {
-    const double newsGain = hit(TraceKind::kNews, kind) /
-                            hit(TraceKind::kNews, StrategyKind::kGDStar);
-    const double altGain =
-        hit(TraceKind::kAlternative, kind) /
-        hit(TraceKind::kAlternative, StrategyKind::kGDStar);
+    const double newsGain = hit(TraceKind::kNews, kind) / newsGd;
+    const double altGain = hit(TraceKind::kAlternative, kind) / altGd;
     EXPECT_GT(altGain, newsGain) << strategyName(kind);
   }
 }
@@ -113,8 +112,8 @@ TEST(PaperClaimsTest, Fig5Sg2FallsBelowSg1AtLowQualityOnAlternativeOnly) {
 }
 
 TEST(PaperClaimsTest, Fig6SubDeterioratesOverTheWeek) {
-  const auto m = ctx().run(TraceKind::kNews, 1.0, StrategyKind::kSUB, 0.05,
-                           PushScheme::kAlwaysPushing, true);
+  const auto m = ctx().run({TraceKind::kNews, 1.0, StrategyKind::kSUB, 0.05,
+                            PushScheme::kAlwaysPushing, true});
   double early = 0, late = 0;
   const std::size_t half = m.hours() / 2;
   for (std::size_t h = 0; h < half; ++h) early += m.hourlyHitRatio(h);
@@ -123,24 +122,24 @@ TEST(PaperClaimsTest, Fig6SubDeterioratesOverTheWeek) {
 }
 
 TEST(PaperClaimsTest, Fig7TrafficClaims) {
-  const auto gd = ctx().run(TraceKind::kNews, 1.0, StrategyKind::kGDStar,
-                            0.05, PushScheme::kAlwaysPushing);
-  const auto gdWn = ctx().run(TraceKind::kNews, 1.0, StrategyKind::kGDStar,
-                              0.05, PushScheme::kPushingWhenNecessary);
+  const auto news = [](StrategyKind kind, PushScheme scheme) {
+    return ctx().run({TraceKind::kNews, 1.0, kind, 0.05, scheme});
+  };
+  const auto gd = news(StrategyKind::kGDStar, PushScheme::kAlwaysPushing);
+  const auto gdWn =
+      news(StrategyKind::kGDStar, PushScheme::kPushingWhenNecessary);
   // GD* traffic identical under both schemes.
   EXPECT_EQ(gd.traffic().totalPages(), gdWn.traffic().totalPages());
 
-  const auto sub = ctx().run(TraceKind::kNews, 1.0, StrategyKind::kSUB, 0.05,
-                             PushScheme::kAlwaysPushing);
-  const auto sg2 = ctx().run(TraceKind::kNews, 1.0, StrategyKind::kSG2, 0.05,
-                             PushScheme::kAlwaysPushing);
+  const auto sub = news(StrategyKind::kSUB, PushScheme::kAlwaysPushing);
+  const auto sg2 = news(StrategyKind::kSG2, PushScheme::kAlwaysPushing);
   // SUB generates the most traffic (fetch-on-miss without caching).
   EXPECT_GT(sub.traffic().totalPages(), sg2.traffic().totalPages());
   // Pushing-When-Necessary helps SUB the most.
-  const auto subWn = ctx().run(TraceKind::kNews, 1.0, StrategyKind::kSUB,
-                               0.05, PushScheme::kPushingWhenNecessary);
-  const auto sg2Wn = ctx().run(TraceKind::kNews, 1.0, StrategyKind::kSG2,
-                               0.05, PushScheme::kPushingWhenNecessary);
+  const auto subWn =
+      news(StrategyKind::kSUB, PushScheme::kPushingWhenNecessary);
+  const auto sg2Wn =
+      news(StrategyKind::kSG2, PushScheme::kPushingWhenNecessary);
   const auto saved = [](const SimMetrics& always, const SimMetrics& wn) {
     return static_cast<double>(always.traffic().pushPages -
                                wn.traffic().pushPages) /
@@ -154,7 +153,7 @@ TEST(PaperClaimsTest, ResponseTimeMirrorsHitRatioAcrossStrategies) {
   double prevHit = -1.0, prevRt = 1e9;
   for (const StrategyKind kind :
        {StrategyKind::kGDStar, StrategyKind::kSUB, StrategyKind::kSG2}) {
-    const auto m = ctx().run(TraceKind::kNews, 1.0, kind, 0.05);
+    const auto m = ctx().run({TraceKind::kNews, 1.0, kind, 0.05});
     EXPECT_GT(m.hitRatio(), prevHit);
     EXPECT_LT(m.meanResponseTime(), prevRt);
     prevHit = m.hitRatio();
