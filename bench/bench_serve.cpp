@@ -378,13 +378,13 @@ int run(int argc, char** argv) {
     }
     opt.qps = std::stod(values["qps"]);
     opt.concurrency =
-        static_cast<unsigned>(std::stoul(values["concurrency"]));
+        parseIntOption<unsigned>("concurrency", values["concurrency"]);
     opt.measureSeconds = std::stod(values["seconds"]) * env.scale;
     opt.warmupSeconds = std::stod(values["warmup"]) * env.scale;
-    opt.pages = static_cast<std::uint32_t>(std::stoul(values["pages"]));
-    opt.proxies = static_cast<std::uint32_t>(std::stoul(values["proxies"]));
+    opt.pages = parseIntOption<std::uint32_t>("pages", values["pages"]);
+    opt.proxies = parseIntOption<std::uint32_t>("proxies", values["proxies"]);
     opt.strategy = parseStrategyKind(values["strategy"]);
-    opt.seed = std::stoull(values["seed"]);
+    opt.seed = parseIntOption<std::uint64_t>("seed", values["seed"]);
     if (values["pacing"] == "uniform") {
       opt.pacing = net::PacingKind::kUniform;
     } else if (values["pacing"] == "poisson") {
@@ -394,16 +394,18 @@ int run(int argc, char** argv) {
     }
     opt.jsonPath = values["json"];
     opt.deadlineMs = std::stod(values["deadline-ms"]);
-    opt.retries = static_cast<std::uint32_t>(std::stoul(values["retries"]));
+    opt.retries = parseIntOption<std::uint32_t>("retries", values["retries"]);
     opt.backoffMs = std::stod(values["backoff-ms"]);
-    opt.chaos = std::stoi(values["chaos"]) != 0;
+    opt.chaos = parseIntOption<int>("chaos", values["chaos"]) != 0;
     opt.chaosLatencyMs = std::stod(values["chaos-latency-ms"]);
     opt.chaosJitterMs = std::stod(values["chaos-jitter-ms"]);
     opt.chaosBps = std::stod(values["chaos-bps"]);
-    opt.chaosResetBytes = std::stoull(values["chaos-reset-bytes"]);
-    opt.chaosFaultConns =
-        static_cast<std::uint32_t>(std::stoul(values["chaos-fault-conns"]));
-    opt.chaosSeed = std::stoull(values["chaos-seed"]);
+    opt.chaosResetBytes = parseIntOption<std::uint64_t>(
+        "chaos-reset-bytes", values["chaos-reset-bytes"]);
+    opt.chaosFaultConns = parseIntOption<std::uint32_t>(
+        "chaos-fault-conns", values["chaos-fault-conns"]);
+    opt.chaosSeed =
+        parseIntOption<std::uint64_t>("chaos-seed", values["chaos-seed"]);
     if (opt.deadlineMs < 0 || opt.backoffMs < 0 || opt.chaosLatencyMs < 0 ||
         opt.chaosJitterMs < 0 || opt.chaosBps < 0) {
       throw std::invalid_argument("deadline/backoff/chaos values must be "
@@ -420,8 +422,8 @@ int run(int argc, char** argv) {
         throw std::invalid_argument("--connect must be HOST:PORT");
       }
       opt.host = connect.substr(0, colon);
-      opt.port =
-          static_cast<std::uint16_t>(std::stoul(connect.substr(colon + 1)));
+      opt.port = parseIntOption<std::uint16_t>("connect",
+                                               connect.substr(colon + 1));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_serve: %s\n", e.what());

@@ -113,6 +113,18 @@ TEST(BenchEnv, NegativeJobsFromEnvironmentIsError) {
   EXPECT_NE(message.find("--jobs"), std::string::npos);
 }
 
+TEST(BenchEnv, JobsBeyondUnsignedIsErrorNotWrapped) {
+  // 2^32 + 1 would wrap to 1 worker through a cast to unsigned.
+  BenchEnv env;
+  std::string message;
+  EXPECT_EQ(parse({"--jobs", "4294967297"}, {}, &env, &message),
+            BenchEnvStatus::kError);
+  EXPECT_NE(message.find("--jobs"), std::string::npos);
+  const EnvMap vars = {{"PSCD_BENCH_JOBS", "4294967297"}};
+  EXPECT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kError);
+  EXPECT_NE(message.find("--jobs"), std::string::npos);
+}
+
 TEST(BenchEnv, MalformedJobsFromEnvironmentIsErrorNotThrow) {
   BenchEnv env;
   std::string message;

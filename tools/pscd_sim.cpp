@@ -95,17 +95,17 @@ int main(int argc, char** argv) {
     const double sq = args.optionDouble("sq");
 
     WorkloadParams params = traceParams(trace, sq);
-    params.seed = static_cast<std::uint64_t>(args.optionInt("seed"));
-    if (const auto n = args.optionInt("requests"); n > 0) {
-      params.request.totalRequests = static_cast<std::uint64_t>(n);
+    params.seed = args.optionInt<std::uint64_t>("seed");
+    if (const auto n = args.optionInt<std::uint64_t>("requests"); n > 0) {
+      params.request.totalRequests = n;
     }
-    if (const auto n = args.optionInt("pages"); n > 0) {
-      params.publishing.numPages = static_cast<std::uint32_t>(n);
+    if (const auto n = args.optionInt<std::uint32_t>("pages"); n > 0) {
+      params.publishing.numPages = n;
       params.publishing.numUpdatedPages =
-          static_cast<std::uint32_t>(n * 2 / 5);
+          static_cast<std::uint32_t>(std::uint64_t{n} * 2 / 5);
     }
-    if (const auto n = args.optionInt("proxies"); n > 0) {
-      params.request.numProxies = static_cast<std::uint32_t>(n);
+    if (const auto n = args.optionInt<std::uint32_t>("proxies"); n > 0) {
+      params.request.numProxies = n;
     }
 
     const bool quiet = args.flag("quiet");
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     const Workload workload = buildWorkload(params);
     const double buildSeconds = monotonicSeconds() - buildStart;
 
-    Rng topoRng(static_cast<std::uint64_t>(args.optionInt("topology-seed")));
+    Rng topoRng(args.optionInt<std::uint64_t>("topology-seed"));
     NetworkParams np;
     np.numProxies = workload.numProxies();
     const Network network(np, topoRng);
@@ -136,8 +136,7 @@ int main(int argc, char** argv) {
     config.collectHourly = !args.option("hourly-csv").empty();
     config.selfCheckHourly = args.flag("self-check");
 
-    config.faults.seed =
-        static_cast<std::uint64_t>(args.optionInt("fault-seed"));
+    config.faults.seed = args.optionInt<std::uint64_t>("fault-seed");
     config.faults.proxyFailuresPerDay = args.optionDouble("fault-proxy-rate");
     config.faults.proxyMeanDowntimeHours =
         args.optionDouble("fault-proxy-downtime");
@@ -150,7 +149,7 @@ int main(int argc, char** argv) {
     config.faults.warmRestart = args.flag("fault-warm-restart");
     config.faults.publisherFailover = !args.flag("fault-no-failover");
     config.faults.retry.maxRetries =
-        static_cast<std::uint32_t>(args.optionInt("fault-retries"));
+        args.optionInt<std::uint32_t>("fault-retries");
     config.faults.retry.backoffBaseMs = args.optionDouble("fault-backoff-ms");
 
     const double runStart = monotonicSeconds();

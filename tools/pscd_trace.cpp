@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
                                         : newsTraceParams();
       params.subscription.quality = args.optionDouble("sq");
       params.subscription.churnPerDay = args.optionDouble("churn");
-      params.seed = static_cast<std::uint64_t>(args.optionInt("seed"));
+      params.seed = args.optionInt<std::uint64_t>("seed");
       const Workload w = buildWorkload(params);
       saveWorkloadFile(w, args.option("generate"));
       std::printf("wrote %s (%zu publishes, %zu requests)\n",
