@@ -162,7 +162,8 @@ TEST(LinkState, RandomTopologyResidualStaysConsistent) {
   const Network n = randomNetwork(21);
   LinkState ls(n);
   // Fail a handful of real edges and keep validating: the residual
-  // cache must always match a fresh damaged-graph recompute.
+  // cache must always match a fresh damaged-graph recompute, bit for
+  // bit, including after toggles that skipped the recompute.
   Rng rng(5);
   std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId a = 0; a < n.graph().numNodes(); ++a) {
@@ -170,15 +171,21 @@ TEST(LinkState, RandomTopologyResidualStaysConsistent) {
       if (a < e.to) edges.push_back({a, e.to});
     }
   }
-  for (int step = 0; step < 40; ++step) {
+  for (int step = 0; step < 200; ++step) {
     const auto& [a, b] = edges[rng.uniformInt(edges.size())];
     if (ls.linkDown(a, b)) {
       ls.setLinkUp(a, b);
     } else {
       ls.setLinkDown(a, b);
     }
+    LinkState fresh(n);
+    for (const auto& [u, v] : edges) {
+      if (ls.linkDown(u, v)) fresh.setLinkDown(u, v);
+    }
     for (ProxyId p = 0; p < n.numProxies(); ++p) {
-      (void)ls.fetchCost(p);  // force the lazy residual refresh
+      // Forces the lazy residual refresh; bitwise equal to a fresh one.
+      ASSERT_EQ(ls.fetchCost(p), fresh.fetchCost(p))
+          << "step " << step << " proxy " << p;
     }
     ASSERT_NO_THROW(ls.checkInvariants()) << "after step " << step;
   }
