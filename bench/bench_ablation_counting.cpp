@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  runTasks(env, std::move(tasks));
+  runAll(env.jobs, std::move(tasks));
 
   AsciiTable table({"trace", "method", "in-cache a", "persistent a",
                     "delta"});

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       }
     });
   }
-  runTasks(env, std::move(tasks));
+  runAll(env.jobs, std::move(tasks));
 
   AsciiTable table({"driven fraction", "GD*", "SUB", "SG1", "SG2",
                     "DC-LAP"});

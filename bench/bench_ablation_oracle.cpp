@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       });
     }
   }
-  runTasks(env, std::move(tasks));
+  runAll(env.jobs, std::move(tasks));
 
   CsvSink csv;
   std::size_t i = 0;  // the tables walk the cells in order

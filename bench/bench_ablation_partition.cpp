@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       });
     }
   }
-  runTasks(env, std::move(tasks));
+  runAll(env.jobs, std::move(tasks));
 
   AsciiTable table({"PC fraction", "NEWS 5%", "NEWS 10%", "ALT 5%"});
   for (std::size_t f = 0; f < std::size(kFractions); ++f) {

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       }
     });
   }
-  runTasks(env, std::move(tasks));
+  runAll(env.jobs, std::move(tasks));
 
   AsciiTable table({"topology", "seed", "GD*", "SUB", "SG2", "DC-LAP"});
   for (std::size_t r = 0; r < rows.size(); ++r) {

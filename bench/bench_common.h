@@ -8,8 +8,8 @@
 //   --csv P    also export every printed table to CSV file P
 //
 // A driver builds its whole (trace x strategy x config) grid, runs it
-// with runCells() (or its own tasks with runTasks()) on the annotated
-// ThreadPool, and renders tables on the main thread from the returned
+// with runCells() (or its own slot-per-task work with runAll(env.jobs,
+// tasks)), and renders tables on the main thread from the returned
 // metrics. Each cell's metrics land in its own slot and come back in
 // cell order regardless of --jobs, so serial and parallel runs of a
 // driver emit byte-identical stdout and CSV.
@@ -27,7 +27,7 @@
 
 #include "pscd/pscd.h"
 #include "pscd/util/mutex.h"
-#include "pscd/util/thread_pool.h"
+#include "pscd/util/run_all.h"
 
 namespace pscd::bench {
 
@@ -65,13 +65,11 @@ enum class BenchEnvStatus { kOk, kHelp, kError };
 /// A driver-specific option registered alongside the shared --jobs /
 /// --scale / --csv set, so drivers with extra knobs (bench_serve's
 /// --qps, --mode, ...) extend the one parser instead of growing a
-/// second ad-hoc one. Precedence matches the shared options: explicit
-/// flag > `envVar` (when non-empty and set) > `defaultValue`.
+/// second ad-hoc one. An explicit flag overrides `defaultValue`.
 struct BenchOption {
   std::string name;          // long option name, without the "--"
   std::string help;          // one-line --help description
   std::string defaultValue;  // builtin default
-  std::string envVar;        // optional env var overriding the default
 };
 
 /// Testable core of parseBenchEnv. Environment variables provide
@@ -92,9 +90,7 @@ inline BenchEnvStatus tryParseBenchEnv(
     std::string* message, const std::vector<BenchOption>& extraOptions = {},
     std::map<std::string, std::string>* extraValues = nullptr) {
   const auto envDefault = [&](const char* name, const std::string& fallback) {
-    const char* v =
-        envLookup && name != nullptr && *name != '\0' ? envLookup(name)
-                                                      : nullptr;
+    const char* v = envLookup ? envLookup(name) : nullptr;
     return v != nullptr && *v != '\0' ? std::string(v) : fallback;
   };
   ArgParser parser(program, description);
@@ -108,8 +104,7 @@ inline BenchEnvStatus tryParseBenchEnv(
   parser.addOption("csv", "also write every table to this CSV file",
                    envDefault("PSCD_BENCH_CSV", ""));
   for (const BenchOption& option : extraOptions) {
-    parser.addOption(option.name, option.help,
-                     envDefault(option.envVar.c_str(), option.defaultValue));
+    parser.addOption(option.name, option.help, option.defaultValue);
   }
   if (!parser.parse(argc, argv)) {
     if (parser.error().empty()) {
@@ -164,27 +159,13 @@ inline BenchEnv parseBenchEnv(
   return env;
 }
 
-/// Fan-out for driver-specific work that does not go through
-/// runCells() (custom Simulator configs, broker trees, hierarchies).
-/// Each task must write to its own pre-sized result slot; tasks run
-/// inline, in order, when jobs = 1.
-inline void runTasks(const BenchEnv& env,
-                     std::vector<std::function<void()>> tasks) {
-  if (env.jobs <= 1) {
-    runAll(nullptr, std::move(tasks));
-    return;
-  }
-  ThreadPool pool(env.jobs);
-  runAll(&pool, std::move(tasks));
-}
-
 /// Collects labeled tables and writes them to one CSV file. Each table
 /// contributes a header row and its data rows, all prefixed with the
 /// table's label, so several tables share a file unambiguously.
 ///
 /// Race-free by construction: add() serializes behind an annotated
-/// mutex (drivers call it from the main thread after the ThreadPool has
-/// been joined, but the sink does not rely on that), and writeTo()
+/// mutex (drivers call it from the main thread after runAll() has
+/// joined, but the sink does not rely on that), and writeTo()
 /// first writes a temp file and then renames it into place, so two
 /// bench processes pointed at the same --csv path can never interleave
 /// partial output.
@@ -299,15 +280,6 @@ inline std::vector<std::string> extractTrajectoryEntries(
 /// The micro-bench history (schema pscd-bench-micro-v2).
 inline std::vector<std::string> extractMicroEntries(const std::string& doc) {
   return extractTrajectoryEntries(doc, "pscd-bench-micro-v2");
-}
-
-/// Migrates a v1 single-snapshot document into one v2 entry. The v1
-/// run predates timestamping, so it gets timestamp 0 ("unknown, before
-/// the history began"). Returns "" when doc is not a v1 snapshot.
-inline std::string migrateMicroV1(const std::string& doc) {
-  const std::string v1Prefix = "{\"schema\":\"pscd-bench-micro-v1\",";
-  if (doc.compare(0, v1Prefix.size(), v1Prefix) != 0) return std::string();
-  return "{\"timestamp\":0," + doc.substr(v1Prefix.size());
 }
 
 /// Renders a full history document under `schema` from raw entry

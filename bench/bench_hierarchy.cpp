@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       bySweep[f] = runHierarchical(w, net, hc);
     });
   }
-  runTasks(env, std::move(tasks));
+  runAll(env.jobs, std::move(tasks));
 
   AsciiTable table({"leaf strategy", "leaf H", "leaf+parent H",
                     "parent adds", "mean RT (ms)"});

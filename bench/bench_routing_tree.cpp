@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
                          rows[r].covering);
     });
   }
-  runTasks(env, std::move(tasks));
+  runAll(env.jobs, std::move(tasks));
 
   AsciiTable table({"brokers", "fanout", "covering", "subs", "control msgs",
                     "event msgs", "flood msgs", "saving"});

@@ -325,40 +325,38 @@ std::string renderEntry(const ServeOptions& opt, const ServeResult& r,
 
 int run(int argc, char** argv) {
   const std::vector<BenchOption> extras = {
-      {"mode", "load generator mode: closed | open", "closed", ""},
+      {"mode", "load generator mode: closed | open", "closed"},
       {"connect",
        "daemon address as HOST:PORT; empty = spawn an in-process daemon "
        "over loopback",
-       "", ""},
-      {"qps", "open mode: target arrival rate", "2000", ""},
-      {"concurrency", "worker connections", "4", ""},
-      {"seconds", "measure-phase duration in seconds", "2", ""},
-      {"warmup", "warmup-phase duration in seconds (discarded)", "0.5", ""},
-      {"pages", "distinct pages in the workload", "256", ""},
-      {"proxies", "proxies in the overlay (and request fan)", "8", ""},
-      {"strategy", "daemon cache strategy (spawn mode)", "GD*", ""},
-      {"seed", "workload + pacing RNG seed", "1", ""},
-      {"pacing", "open mode arrival process: uniform | poisson", "uniform",
        ""},
-      {"json", "trajectory file to append to", "BENCH_serve.json", ""},
-      {"deadline-ms", "per-attempt response deadline; 0 waits forever", "0",
-       ""},
-      {"retries", "extra attempts on timeout/reset/overloaded", "0", ""},
-      {"backoff-ms", "base retry backoff (doubles per retry)", "0", ""},
+      {"qps", "open mode: target arrival rate", "2000"},
+      {"concurrency", "worker connections", "4"},
+      {"seconds", "measure-phase duration in seconds", "2"},
+      {"warmup", "warmup-phase duration in seconds (discarded)", "0.5"},
+      {"pages", "distinct pages in the workload", "256"},
+      {"proxies", "proxies in the overlay (and request fan)", "8"},
+      {"strategy", "daemon cache strategy (spawn mode)", "GD*"},
+      {"seed", "workload + pacing RNG seed", "1"},
+      {"pacing", "open mode arrival process: uniform | poisson", "uniform"},
+      {"json", "trajectory file to append to", "BENCH_serve.json"},
+      {"deadline-ms", "per-attempt response deadline; 0 waits forever", "0"},
+      {"retries", "extra attempts on timeout/reset/overloaded", "0"},
+      {"backoff-ms", "base retry backoff (doubles per retry)", "0"},
       {"chaos",
        "1 = interpose a fault-injecting proxy between workers and the "
        "daemon (the seeder always dials the daemon directly)",
-       "0", ""},
-      {"chaos-latency-ms", "proxy: fixed delay per direction", "0", ""},
-      {"chaos-jitter-ms", "proxy: uniform extra delay per chunk", "0", ""},
-      {"chaos-bps", "proxy: 1-byte-dribble throttle rate; 0 = off", "0", ""},
+       "0"},
+      {"chaos-latency-ms", "proxy: fixed delay per direction", "0"},
+      {"chaos-jitter-ms", "proxy: uniform extra delay per chunk", "0"},
+      {"chaos-bps", "proxy: 1-byte-dribble throttle rate; 0 = off", "0"},
       {"chaos-reset-bytes",
        "proxy: RST a faulted connection once the client sent this many "
        "bytes; 0 = off",
-       "0", ""},
+       "0"},
       {"chaos-fault-conns",
-       "proxy: only the first N connections get faults; 0 = all", "0", ""},
-      {"chaos-seed", "proxy jitter RNG seed", "1", ""},
+       "proxy: only the first N connections get faults; 0 = all", "0"},
+      {"chaos-seed", "proxy jitter RNG seed", "1"},
   };
   std::map<std::string, std::string> values;
   const BenchEnv env = parseBenchEnv(
@@ -585,14 +583,8 @@ int run(int argc, char** argv) {
     csv.add("serve", table);
     csv.writeTo(env.csvPath);
 
-    const std::string previous = readTextFileOrEmpty(opt.jsonPath);
-    std::vector<std::string> entries =
-        extractTrajectoryEntries(previous, "pscd-bench-serve-v2");
-    if (entries.empty()) {
-      // First write after the v1 -> v2 schema bump: carry the old
-      // history forward (old entries simply lack the fault fields).
-      entries = extractTrajectoryEntries(previous, "pscd-bench-serve-v1");
-    }
+    std::vector<std::string> entries = extractTrajectoryEntries(
+        readTextFileOrEmpty(opt.jsonPath), "pscd-bench-serve-v2");
     entries.push_back(renderEntry(opt, result, unixTimeSeconds()));
     std::string error;
     if (!writeTextFileAtomic(

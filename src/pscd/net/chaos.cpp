@@ -1,11 +1,8 @@
 #include "pscd/net/chaos.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +14,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "pscd/net/socket.h"
 #include "pscd/util/log.h"
 #include "pscd/util/rng.h"
 #include "pscd/util/wallclock.h"
@@ -24,18 +22,6 @@
 namespace pscd::net {
 
 namespace {
-
-[[noreturn]] void throwErrno(const std::string& what) {
-  throw std::runtime_error("ChaosProxy: " + what + ": " +
-                           std::strerror(errno));
-}
-
-void setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throwErrno("fcntl(O_NONBLOCK)");
-  }
-}
 
 /// Uniform [0, 1) from a SplitMix64 stream.
 double u01(std::uint64_t& state) {
@@ -77,48 +63,13 @@ ChaosProxy::ChaosProxy(const ChaosConfig& config) : config_(config) {
   validateDirection(config_.clientToServer, "clientToServer");
   validateDirection(config_.serverToClient, "serverToClient");
 
-  listenFd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listenFd_ < 0) throwErrno("socket");
-  const int one = 1;
-  if (setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) <
-      0) {
-    throwErrno("setsockopt(SO_REUSEADDR)");
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (inet_pton(AF_INET, config_.bindAddress.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("ChaosProxy: bad bind address " +
-                             config_.bindAddress);
-  }
-  if (bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    throwErrno("bind");
-  }
-  if (listen(listenFd_, 64) < 0) throwErrno("listen");
-  setNonBlocking(listenFd_);
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(listenFd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
-    throwErrno("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-
-  epollFd_ = epoll_create1(EPOLL_CLOEXEC);
-  if (epollFd_ < 0) throwErrno("epoll_create1");
-  wakeFd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wakeFd_ < 0) throwErrno("eventfd");
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listenFd_;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev) < 0) {
-    throwErrno("epoll_ctl(listen)");
-  }
-  ev.data.fd = wakeFd_;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakeFd_, &ev) < 0) {
-    throwErrno("epoll_ctl(wake)");
-  }
+  target_ = resolveIpv4(config_.targetAddress, config_.targetPort);
+  const ServerFds fds =
+      openServerFds("ChaosProxy", config_.bindAddress, config_.port, 64);
+  listenFd_ = fds.listenFd;
+  epollFd_ = fds.epollFd;
+  wakeFd_ = fds.wakeFd;
+  port_ = fds.port;
 }
 
 ChaosProxy::~ChaosProxy() {
@@ -227,33 +178,20 @@ void ChaosProxy::acceptConnections() {
       return;
     }
     // Splice a fresh connection to the target. The target is the local
-    // daemon, so a blocking connect resolves immediately; the fd goes
+    // daemon, so a blocking connect completes immediately; the fd goes
     // non-blocking right after.
-    const int sfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (sfd < 0) {
-      ::close(cfd);
-      ++stats_.connectFailures;
-      continue;
-    }
-    sockaddr_in target{};
-    target.sin_family = AF_INET;
-    target.sin_port = htons(config_.targetPort);
-    if (inet_pton(AF_INET, config_.targetAddress.c_str(),
-                  &target.sin_addr) != 1 ||
-        connect(sfd, reinterpret_cast<sockaddr*>(&target),
-                sizeof(target)) < 0) {
+    const int sfd = dialFirst(target_);
+    if (sfd < 0 || !setNonBlocking(sfd)) {
       logWarn() << "pscd_chaos: cannot reach target "
                 << config_.targetAddress << ":" << config_.targetPort
                 << ": " << std::strerror(errno);
       ::close(cfd);
-      ::close(sfd);
+      if (sfd >= 0) ::close(sfd);
       ++stats_.connectFailures;
       continue;
     }
-    setNonBlocking(sfd);
     const int one = 1;
     setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    setsockopt(sfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     Link link;
     link.index = stats_.connections++;

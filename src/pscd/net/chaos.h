@@ -28,6 +28,8 @@
 // threads and count /proc/self/fd to prove neither leaks.
 #pragma once
 
+#include <netinet/in.h>
+
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -59,7 +61,8 @@ struct ChaosConfig {
   std::string bindAddress = "127.0.0.1";
   /// 0 = ephemeral; resolved via ChaosProxy::port().
   std::uint16_t port = 0;
-  /// Where proxied connections are forwarded (the real daemon).
+  /// Where proxied connections are forwarded (the real daemon): a host
+  /// name or an IPv4 literal, resolved once by the constructor.
   std::string targetAddress = "127.0.0.1";
   std::uint16_t targetPort = 0;
   /// Seeds every jitter stream; same seed + config + workload = same
@@ -101,8 +104,9 @@ std::string formatChaosStats(const ChaosStats& stats);
 
 class ChaosProxy {
  public:
-  /// Binds and listens immediately (throws std::runtime_error on socket
-  /// failure); forwards only once run() is called.
+  /// Resolves the target, binds and listens immediately (throws
+  /// std::runtime_error when the target does not resolve or a socket
+  /// call fails); forwards only once run() is called.
   explicit ChaosProxy(const ChaosConfig& config);
   ~ChaosProxy();
 
@@ -178,6 +182,8 @@ class ChaosProxy {
   static bool linkDone(const Link& link);
 
   ChaosConfig config_;
+  /// config_.targetAddress, resolved once by the constructor.
+  std::vector<sockaddr_in> target_;
   ChaosStats stats_;
   std::uint16_t port_ = 0;
   int listenFd_ = -1;

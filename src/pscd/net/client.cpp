@@ -1,8 +1,5 @@
 #include "pscd/net/client.h"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,17 +11,10 @@
 #include <string>
 #include <utility>
 
+#include "pscd/net/socket.h"
 #include "pscd/util/wallclock.h"
 
 namespace pscd::net {
-
-namespace {
-
-[[noreturn]] void throwErrno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-}  // namespace
 
 std::string_view wireErrorName(WireError error) {
   switch (error) {
@@ -60,38 +50,13 @@ WireClient::WireClient(WireClient&& other) noexcept
 }
 
 void WireClient::connectSocket() {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  const std::string portText = std::to_string(port_);
-  const int rc = ::getaddrinfo(host_.c_str(), portText.c_str(), &hints,
-                               &results);
-  if (rc != 0) {
-    throw std::runtime_error("WireClient: cannot resolve " + host_ + ": " +
-                             gai_strerror(rc));
-  }
-  int fd = -1;
-  int lastErrno = ECONNREFUSED;
-  for (const addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                  ai->ai_protocol);
-    if (fd < 0) {
-      lastErrno = errno;
-      continue;
-    }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    lastErrno = errno;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(results);
+  const int fd = dialFirst(resolveIpv4(host_, port_));
   if (fd < 0) {
-    errno = lastErrno;
-    throwErrno("WireClient: connect to " + host_ + ":" + portText);
+    const int err = errno;
+    throw std::runtime_error("WireClient: connect to " + host_ + ":" +
+                             std::to_string(port_) + ": " +
+                             std::strerror(err));
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
   in_.clear();
 }

@@ -1,11 +1,8 @@
 #include "pscd/net/daemon.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,26 +15,11 @@
 #include <utility>
 #include <vector>
 
+#include "pscd/net/socket.h"
 #include "pscd/util/log.h"
 #include "pscd/util/rng.h"
 
 namespace pscd::net {
-
-namespace {
-
-[[noreturn]] void throwErrno(const std::string& what) {
-  throw std::runtime_error("Daemon: " + what + ": " +
-                           std::strerror(errno));
-}
-
-void setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throwErrno("fcntl(O_NONBLOCK)");
-  }
-}
-
-}  // namespace
 
 std::string formatDaemonStats(const DaemonStats& s) {
   std::string out = "stats:";
@@ -73,48 +55,12 @@ Daemon::Daemon(DistributionService& service, const Clock& clock,
   timersEnabled_ = config_.idleTimeoutSeconds > 0 ||
                    config_.readTimeoutSeconds > 0 ||
                    config_.writeTimeoutSeconds > 0;
-  listenFd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listenFd_ < 0) throwErrno("socket");
-  const int one = 1;
-  if (setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) <
-      0) {
-    throwErrno("setsockopt(SO_REUSEADDR)");
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (inet_pton(AF_INET, config_.bindAddress.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("Daemon: bad bind address " +
-                             config_.bindAddress);
-  }
-  if (bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    throwErrno("bind");
-  }
-  if (listen(listenFd_, config_.backlog) < 0) throwErrno("listen");
-  setNonBlocking(listenFd_);
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(listenFd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
-    throwErrno("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-
-  epollFd_ = epoll_create1(EPOLL_CLOEXEC);
-  if (epollFd_ < 0) throwErrno("epoll_create1");
-  wakeFd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wakeFd_ < 0) throwErrno("eventfd");
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listenFd_;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev) < 0) {
-    throwErrno("epoll_ctl(listen)");
-  }
-  ev.data.fd = wakeFd_;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakeFd_, &ev) < 0) {
-    throwErrno("epoll_ctl(wake)");
-  }
+  const ServerFds fds = openServerFds("Daemon", config_.bindAddress,
+                                      config_.port, config_.backlog);
+  listenFd_ = fds.listenFd;
+  epollFd_ = fds.epollFd;
+  wakeFd_ = fds.wakeFd;
+  port_ = fds.port;
 }
 
 Daemon::~Daemon() {

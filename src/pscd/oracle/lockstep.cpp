@@ -10,7 +10,7 @@
 #include "pscd/oracle/reference_paths.h"
 #include "pscd/topology/shortest_path.h"
 #include "pscd/util/rng.h"
-#include "pscd/util/thread_pool.h"
+#include "pscd/util/run_all.h"
 
 namespace pscd {
 
@@ -386,12 +386,7 @@ std::vector<LockstepReport> runCacheLockstepBatch(
       reports[i] = runCacheLockstep(configs[i]);
     });
   }
-  if (configs.size() <= 1 || resolveJobs(jobs) <= 1) {
-    runAll(nullptr, std::move(tasks));
-  } else {
-    ThreadPool pool(jobs);
-    runAll(&pool, std::move(tasks));
-  }
+  runAll(jobs, std::move(tasks));
   return reports;
 }
 

@@ -56,10 +56,10 @@
 #include "pscd/util/log.h"
 #include "pscd/util/mutex.h"
 #include "pscd/util/rng.h"
+#include "pscd/util/run_all.h"
 #include "pscd/util/stats.h"
 #include "pscd/util/table.h"
 #include "pscd/util/thread_annotations.h"
-#include "pscd/util/thread_pool.h"
 #include "pscd/util/types.h"
 #include "pscd/workload/params.h"
 #include "pscd/workload/publishing.h"

@@ -6,7 +6,7 @@
 #include "pscd/sim/simulator.h"
 #include "pscd/util/check.h"
 #include "pscd/util/rng.h"
-#include "pscd/util/thread_pool.h"
+#include "pscd/util/run_all.h"
 
 namespace pscd {
 
@@ -129,13 +129,7 @@ std::vector<SimMetrics> runCells(ExperimentContext& ctx,
   for (std::size_t i = 0; i < cells.size(); ++i) {
     tasks.push_back([&, i] { slots[i] = ctx.run(cells[i]); });
   }
-  const unsigned workers = resolveJobs(jobs);
-  if (workers <= 1) {
-    runAll(nullptr, std::move(tasks));
-  } else {
-    ThreadPool pool(workers);
-    runAll(&pool, std::move(tasks));
-  }
+  runAll(jobs, std::move(tasks));
   std::vector<SimMetrics> metrics;
   metrics.reserve(cells.size());
   for (std::optional<SimMetrics>& slot : slots) {

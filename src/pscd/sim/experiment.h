@@ -2,8 +2,8 @@
 // construction (NEWS / ALTERNATIVE at a given subscription quality), a
 // cached workload/network store so sweeps do not regenerate traces, the
 // per-trace beta settings the paper reports in section 5.1, and
-// runCells(), which runs a grid of independent simulation cells across a
-// ThreadPool and returns their metrics.
+// runCells(), which runs a grid of independent simulation cells with
+// runAll() and returns their metrics.
 //
 // Determinism contract (DESIGN.md section 8): a cell's result depends
 // only on its ExperimentContext seeds/scale and its own parameters —
@@ -108,8 +108,8 @@ class ExperimentContext {
 
 /// Runs every cell under `ctx` across `jobs` workers (0 = one per
 /// hardware thread; 1 runs them inline, in order, on the calling thread)
-/// and returns their metrics in cell order. The first cell failure is
-/// rethrown after the batch drains.
+/// and returns their metrics in cell order. The lowest-index cell
+/// failure is rethrown after the batch drains.
 std::vector<SimMetrics> runCells(ExperimentContext& ctx,
                                  const std::vector<ExperimentCell>& cells,
                                  unsigned jobs);

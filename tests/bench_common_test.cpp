@@ -145,8 +145,8 @@ TEST(BenchEnv, ValidFlagBeatsMalformedEnvironment) {
 // ---- bench-specific extra options (the bench_serve machinery) ---------
 
 std::vector<BenchOption> serveLikeOptions() {
-  return {{"mode", "closed or open", "closed", "PSCD_BENCH_SERVE_MODE"},
-          {"qps", "open-loop target rate", "1000", "PSCD_BENCH_SERVE_QPS"}};
+  return {{"mode", "closed or open", "closed"},
+          {"qps", "open-loop target rate", "1000"}};
 }
 
 TEST(BenchEnv, ExtraOptionBuiltinDefault) {
@@ -156,40 +156,6 @@ TEST(BenchEnv, ExtraOptionBuiltinDefault) {
   ASSERT_EQ(parse({}, {}, &env, &message, serveLikeOptions(), &values),
             BenchEnvStatus::kOk);
   EXPECT_EQ(values.at("mode"), "closed");
-  EXPECT_EQ(values.at("qps"), "1000");
-}
-
-TEST(BenchEnv, ExtraOptionEnvironmentOverridesBuiltin) {
-  BenchEnv env;
-  std::string message;
-  std::map<std::string, std::string> values;
-  const EnvMap vars = {{"PSCD_BENCH_SERVE_MODE", "open"}};
-  ASSERT_EQ(parse({}, vars, &env, &message, serveLikeOptions(), &values),
-            BenchEnvStatus::kOk);
-  EXPECT_EQ(values.at("mode"), "open");
-  EXPECT_EQ(values.at("qps"), "1000");  // untouched option keeps builtin
-}
-
-TEST(BenchEnv, ExtraOptionFlagBeatsEnvironment) {
-  BenchEnv env;
-  std::string message;
-  std::map<std::string, std::string> values;
-  const EnvMap vars = {{"PSCD_BENCH_SERVE_MODE", "open"},
-                       {"PSCD_BENCH_SERVE_QPS", "77"}};
-  ASSERT_EQ(parse({"--mode", "closed"}, vars, &env, &message,
-                  serveLikeOptions(), &values),
-            BenchEnvStatus::kOk);
-  EXPECT_EQ(values.at("mode"), "closed");  // flag wins
-  EXPECT_EQ(values.at("qps"), "77");       // env still beats builtin
-}
-
-TEST(BenchEnv, ExtraOptionEmptyEnvironmentFallsBackToBuiltin) {
-  BenchEnv env;
-  std::string message;
-  std::map<std::string, std::string> values;
-  const EnvMap vars = {{"PSCD_BENCH_SERVE_QPS", ""}};
-  ASSERT_EQ(parse({}, vars, &env, &message, serveLikeOptions(), &values),
-            BenchEnvStatus::kOk);
   EXPECT_EQ(values.at("qps"), "1000");
 }
 

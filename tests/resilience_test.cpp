@@ -482,6 +482,16 @@ TEST(ChaosResilience, FullFaultedScenarioLeaksNoFds) {
   EXPECT_EQ(countOpenFds(), before);
 }
 
+TEST(ChaosResilience, HostNameTargetForwards) {
+  // The target is resolved like a WireClient host, so a name works.
+  const ChaosOutcome outcome = runFaultedCallScenario(
+      [](ChaosConfig& c) { c.targetAddress = "localhost"; });
+  EXPECT_TRUE(outcome.result.ok()) << outcome.result.message;
+  EXPECT_EQ(outcome.result.attempts, 1u);
+  EXPECT_EQ(outcome.chaos.connections, 1u);
+  EXPECT_EQ(outcome.chaos.connectFailures, 0u);
+}
+
 TEST(ChaosResilience, ChaosConfigIsValidated) {
   EXPECT_THROW(ChaosProxy{ChaosConfig{}}, std::invalid_argument);
   ChaosConfig negative;
