@@ -9,6 +9,19 @@
 
 namespace pscd {
 
+namespace {
+
+// Stream 2 of the fault seed; streams 0/1 feed the proxy/link
+// schedules in buildFaultPlan. Must match the historical simulator
+// derivation bit for bit.
+std::uint64_t lossStreamSeed(std::uint64_t seed) {
+  std::uint64_t s = seed + 3 * 0x9e3779b97f4a7c15ull;
+  splitmix64(s);
+  return splitmix64(s);
+}
+
+}  // namespace
+
 DistributionService::DistributionService(const Network& network,
                                          const Clock& clock, EventSink& sink,
                                          ServiceConfig config)
@@ -16,7 +29,9 @@ DistributionService::DistributionService(const Network& network,
       sink_(sink),
       config_(std::move(config.engine)),
       latency_(config.latency),
-      broker_(network.numProxies()) {
+      broker_(network.numProxies()),
+      faults_(config.faults),
+      lossRng_(lossStreamSeed(config.faults.seed)) {
   if (config_.proxyCapacities.size() != network.numProxies()) {
     throw std::invalid_argument(
         "DistributionService: one capacity per proxy required");
@@ -35,22 +50,35 @@ DistributionService::DistributionService(const Network& network,
     proxies_.push_back(makeStrategy(config_.strategy, sp));
   }
   latency_.validate();
-  config.faults.validate();
-  if (config.faults.enabled()) {
-    plan_ = buildFaultPlan(config.faults, network, config.faultHorizon);
+  faults_.validate();
+  if (faults_.enabled()) {
+    plan_ = buildFaultPlan(faults_, network, config.faultHorizon);
     if (config.validateFaultPlan) plan_.checkInvariants(network);
-    policy_ = std::make_unique<FaultPolicy>(config.faults, network);
+    linkState_.emplace(network);
   }
 }
 
 void DistributionService::handleFault(const FaultEvent& event) {
-  PSCD_CHECK(policy_ != nullptr)
+  PSCD_CHECK(linkState_.has_value())
       << "DistributionService: fault event with the failure layer off";
-  policy_->apply(event);  // range-checks the proxy or link
-  if (event.kind == FaultEventKind::kProxyUp &&
-      !policy_->config().warmRestart) {
-    proxies_[event.proxy] =
-        makeStrategy(config_.strategy, strategyParams_[event.proxy]);
+  // LinkState range-checks the proxy or link.
+  switch (event.kind) {
+    case FaultEventKind::kProxyDown:
+      linkState_->setProxyDown(event.proxy);
+      break;
+    case FaultEventKind::kProxyUp:
+      linkState_->setProxyUp(event.proxy);
+      if (!faults_.warmRestart) {
+        proxies_[event.proxy] =
+            makeStrategy(config_.strategy, strategyParams_[event.proxy]);
+      }
+      break;
+    case FaultEventKind::kLinkDown:
+      linkState_->setLinkDown(event.linkA, event.linkB);
+      break;
+    case FaultEventKind::kLinkUp:
+      linkState_->setLinkUp(event.linkA, event.linkB);
+      break;
   }
 }
 
@@ -90,7 +118,7 @@ PSCD_HOT PushDelivery DistributionService::handlePublish(
   for (const Notification& n : state.matches) {
     DistributionStrategy& strat = *proxies_[n.proxy];
     if (!strat.pushCapable()) continue;
-    if (policy_ != nullptr && policy_->pushLost(n.proxy)) {
+    if (linkState_ && pushLost(n.proxy)) {
       // The push never reaches the proxy. Under Always-Pushing the
       // publisher sent the bytes anyway (wasted transfer, accounted as
       // lost); under Pushing-When-Necessary the meta-exchange already
@@ -128,27 +156,28 @@ PushDelivery DistributionService::handlePublish(const PublishEvent& event) {
   return handlePublish(event, attrs);
 }
 
-namespace {
+bool DistributionService::pushLost(ProxyId proxy) {
+  if (linkState_->proxyDown(proxy) || !linkState_->pathToPublisher(proxy)) {
+    return true;
+  }
+  const double lossP = faults_.pushLossProbability;
+  return lossP > 0.0 && lossRng_.bernoulli(lossP);
+}
 
-/// Runs the bounded-retry fetch loop: up to 1 + maxRetries attempts,
-/// one fault draw each. Returns true when some attempt succeeded;
-/// `retries` receives the number of failed attempts before the outcome
-/// (maxRetries when every attempt failed).
-bool attemptFetch(FaultPolicy& faults, ProxyId proxy,
-                  std::uint32_t& retries) {
-  const std::uint32_t maxRetries = faults.config().retry.maxRetries;
-  if (!faults.pathToPublisher(proxy)) {
+bool DistributionService::attemptFetch(ProxyId proxy,
+                                       std::uint32_t& retries) {
+  const std::uint32_t maxRetries = faults_.retry.maxRetries;
+  if (!linkState_->pathToPublisher(proxy)) {
     // Partitioned: every attempt times out; nothing random to draw.
     retries = maxRetries;
     return false;
   }
+  const double failP = faults_.fetchFailureProbability;
   for (retries = 0;; ++retries) {
-    if (!faults.fetchAttemptFails()) return true;
+    if (failP <= 0.0 || !lossRng_.bernoulli(failP)) return true;
     if (retries == maxRetries) return false;
   }
 }
-
-}  // namespace
 
 PSCD_HOT RequestDelivery DistributionService::handleRequest(ProxyId proxy,
                                                             PageId page) {
@@ -163,21 +192,20 @@ PSCD_HOT RequestDelivery DistributionService::handleRequest(ProxyId proxy,
   RequestDelivery d;
   d.proxy = proxy;
   d.time = clock_.now();
-  FaultPolicy* const faults = policy_.get();
+  const bool faultsOn = linkState_.has_value();
 
-  if (faults != nullptr && faults->proxyDown(proxy)) {
+  if (faultsOn && linkState_->proxyDown(proxy)) {
     // The local proxy is crashed: its cache is unusable. Fail over to a
     // direct publisher fetch when allowed, otherwise the request fails.
-    if (faults->config().publisherFailover &&
-        attemptFetch(*faults, proxy, d.retries)) {
+    if (faults_.publisherFailover && attemptFetch(proxy, d.retries)) {
       d.failover = true;
       d.bytesTransferred = state.size;
     } else {
       d.unavailable = true;
     }
-  } else if (faults != nullptr &&
+  } else if (faultsOn &&
              proxies_[proxy]->cachedVersion(page) != state.version &&
-             !attemptFetch(*faults, proxy, d.retries)) {
+             !attemptFetch(proxy, d.retries)) {
     // Anything but a fresh copy needs a publisher fetch, and every
     // attempt failed. Degraded serving hands out a stale copy rather
     // than fail; the strategy is not consulted — no bookkeeping moves,
@@ -208,12 +236,11 @@ PSCD_HOT RequestDelivery DistributionService::handleRequest(ProxyId proxy,
   if (!d.unavailable) {
     d.responseTimeMs = latency_.localLatencyMs;
     if (d.retries > 0) {
-      d.responseTimeMs += faults->config().retry.totalBackoffMs(d.retries);
+      d.responseTimeMs += faults_.retry.totalBackoffMs(d.retries);
     }
     if (!d.hit && !d.servedStale) {
-      const double cost = faults != nullptr
-                              ? faults->fetchCost(proxy)
-                              : strategyParams_[proxy].fetchCost;
+      const double cost = faultsOn ? linkState_->fetchCost(proxy)
+                                   : strategyParams_[proxy].fetchCost;
       d.responseTimeMs += latency_.remoteLatencyMsPerUnit * cost;
     }
   }
@@ -248,7 +275,7 @@ void DistributionService::checkInvariants() const {
           << "service: notification list for page " << page << " unsorted";
     }
   }
-  if (policy_) policy_->checkInvariants();
+  if (linkState_) linkState_->checkInvariants();
 }
 
 }  // namespace pscd

@@ -1,30 +1,36 @@
 // DistributionService: the content delivery engine the paper adds to
 // publish/subscribe (figure 1, flow 3'), as one decision object. It
 // owns the broker (matching + notification), one distribution strategy
-// per proxy, the published-page table, the fault plan and policy, and
-// the latency model; it performs match-time pushing and access-time
-// caching and accounts the publisher->proxy traffic.
+// per proxy, the published-page table, the failure layer (fault plan,
+// residual connectivity and loss draws), and the latency model; it
+// performs match-time pushing and access-time caching and accounts the
+// publisher->proxy traffic.
 //
 // A driver (the discrete-event simulator, or the wire daemon) advances
 // the Clock of core/runtime.h and feeds the service publish/request/
 // churn/fault occurrences; each operation's answer is returned and
 // also handed to the EventSink. With the failure layer off the service
 // makes no fault decision, and all randomness (fault schedules, loss
-// draws) derives from config seeds alone, never from driver scheduling.
+// draws) derives from config seeds alone, never from driver scheduling:
+// the loss draws are stream 2 of the fault seed (streams 0/1 feed the
+// schedules inside buildFaultPlan), and a publish asks about its pushes
+// in ascending proxy order (DESIGN.md section 9).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "pscd/cache/strategy.h"
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/core/fault_plan.h"
-#include "pscd/core/fault_policy.h"
 #include "pscd/core/latency.h"
 #include "pscd/core/runtime.h"
 #include "pscd/pubsub/broker.h"
+#include "pscd/topology/link_state.h"
 #include "pscd/topology/network.h"
 #include "pscd/util/flat_map.h"
+#include "pscd/util/rng.h"
 #include "pscd/util/types.h"
 
 namespace pscd {
@@ -50,7 +56,7 @@ struct ServiceConfig {
   EngineConfig engine;
   LatencyModel latency;
   /// Failure model; the default disables every failure process and the
-  /// service then never constructs a fault plan, link state or RNG.
+  /// service then builds no fault plan or link state and never draws.
   FaultConfig faults{};
   /// Horizon the stochastic fault schedule is sampled over; ignored
   /// when the failure layer is off.
@@ -97,9 +103,9 @@ class DistributionService {
 
   /// Publishes a page version: matches it against all subscriptions and
   /// runs the push-time placement at every notified proxy. The answer
-  /// is stamped with event.time. A push the fault policy reports lost
-  /// never reaches the proxy; under Always-Pushing its bytes count as
-  /// lost. std::invalid_argument for a zero-size page.
+  /// is stamped with event.time. A lost push never reaches the proxy;
+  /// under Always-Pushing its bytes count as lost. std::invalid_argument
+  /// for a zero-size page.
   PushDelivery handlePublish(const PublishEvent& event,
                              const ContentAttributes& attrs);
   /// The same with page-id-only attributes.
@@ -133,6 +139,16 @@ class DistributionService {
 
   std::uint32_t matchCount(const PageState& state, ProxyId proxy) const;
 
+  /// True when a push to `proxy` never arrives: always, without a draw,
+  /// for a crashed or partitioned proxy; otherwise one Bernoulli draw at
+  /// the in-flight loss probability (none when it is 0).
+  bool pushLost(ProxyId proxy);
+  /// The bounded-retry fetch loop: up to 1 + maxRetries attempts, one
+  /// draw at the fetch failure probability each (none when it is 0).
+  /// True when some attempt succeeded; `retries` receives the number of
+  /// failed attempts before the outcome (maxRetries when all failed).
+  bool attemptFetch(ProxyId proxy, std::uint32_t& retries);
+
   const Clock& clock_;
   EventSink& sink_;
   EngineConfig config_;
@@ -147,8 +163,12 @@ class DistributionService {
   /// client-chosen 32-bit values.
   std::vector<PageState> pages_;
   FlatMap<std::uint32_t> pageSlot_;  // page -> position in pages_
+  FaultConfig faults_;
   FaultPlan plan_;
-  std::unique_ptr<FaultPolicy> policy_;  // null: failure layer off
+  /// Residual connectivity (down proxies and links); engaged exactly
+  /// when the failure layer is on.
+  std::optional<LinkState> linkState_;
+  Rng lossRng_;  // push-loss and fetch-failure draws
 };
 
 }  // namespace pscd

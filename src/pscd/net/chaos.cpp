@@ -65,7 +65,7 @@ ChaosProxy::ChaosProxy(const ChaosConfig& config) : config_(config) {
 
   target_ = resolveIpv4(config_.targetAddress, config_.targetPort);
   const ServerFds fds =
-      openServerFds("ChaosProxy", config_.bindAddress, config_.port, 64);
+      openServerFds("ChaosProxy", config_.bindAddress, config_.port);
   listenFd_ = fds.listenFd;
   epollFd_ = fds.epollFd;
   wakeFd_ = fds.wakeFd;

@@ -55,8 +55,8 @@ Daemon::Daemon(DistributionService& service, const Clock& clock,
   timersEnabled_ = config_.idleTimeoutSeconds > 0 ||
                    config_.readTimeoutSeconds > 0 ||
                    config_.writeTimeoutSeconds > 0;
-  const ServerFds fds = openServerFds("Daemon", config_.bindAddress,
-                                      config_.port, config_.backlog);
+  const ServerFds fds =
+      openServerFds("Daemon", config_.bindAddress, config_.port);
   listenFd_ = fds.listenFd;
   epollFd_ = fds.epollFd;
   wakeFd_ = fds.wakeFd;
@@ -121,13 +121,10 @@ void Daemon::beginDrain() {
 }
 
 int Daemon::computeWaitMs() {
-  double wait = std::numeric_limits<double>::infinity();
-  if (!wheel_.empty() || draining_) {
-    const double now = clock_.now();
-    if (!wheel_.empty()) wait = std::min(wait, wheel_.nextWakeSeconds(now));
-    if (draining_) wait = std::min(wait, drainDeadline_ - now);
-  }
-  if (!std::isfinite(wait)) return -1;  // fault-free default: block
+  const double wakeAt =
+      draining_ ? std::min(nextDeadline_, drainDeadline_) : nextDeadline_;
+  if (!std::isfinite(wakeAt)) return -1;  // fault-free default: block
+  const double wait = wakeAt - clock_.now();
   if (wait <= 0.0) return 0;
   const double ms = std::ceil(wait * 1000.0);
   return ms >= 60000.0 ? 60000 : static_cast<int>(ms);
@@ -179,14 +176,17 @@ void Daemon::run() {
     if (dumpRequested_.exchange(false, std::memory_order_acq_rel)) {
       logInfo() << "pscd_daemon: " << formatDaemonStats(stats_);
     }
-    if (!wheel_.empty()) reapExpired(clock_.now());
+    if (std::isfinite(nextDeadline_)) {
+      const double now = clock_.now();
+      if (now >= nextDeadline_) reapExpired(now);
+    }
   }
   closeAll();
 }
 
-void Daemon::armDeadline(Connection& conn) {
+double Daemon::deadlineOf(const Connection& conn) const {
   double d = std::numeric_limits<double>::infinity();
-  if (config_.writeTimeoutSeconds > 0 && conn.writePending) {
+  if (config_.writeTimeoutSeconds > 0 && conn.wantWrite) {
     d = std::min(d, conn.writePendingSince + config_.writeTimeoutSeconds);
   }
   if (config_.readTimeoutSeconds > 0 && !conn.in.empty()) {
@@ -195,38 +195,23 @@ void Daemon::armDeadline(Connection& conn) {
   if (config_.idleTimeoutSeconds > 0) {
     d = std::min(d, conn.lastActivity + config_.idleTimeoutSeconds);
   }
-  conn.deadline = d;
-  // Lazy wheel discipline: schedule only when the deadline moved
-  // earlier than the earliest live entry; extensions ride the old entry,
-  // whose expiry re-validates against conn.deadline and re-arms.
-  if (std::isfinite(d) && (!conn.wheelArmed || d < conn.wheelDeadline)) {
-    wheel_.schedule(conn.fd, d);
-    conn.wheelDeadline = d;
-    conn.wheelArmed = true;
-  }
+  return d;
 }
 
 void Daemon::reapExpired(double now) {
-  expiredScratch_.clear();
-  wheel_.collectExpired(now, &expiredScratch_);
-  for (const int fd : expiredScratch_) {
-    const auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;  // stale entry for a closed fd
-    Connection& conn = it->second;
-    conn.wheelArmed = false;  // this entry is consumed
-    if (!std::isfinite(conn.deadline)) continue;
-    if (conn.deadline > now) {
-      // Activity pushed the deadline out (or the wheel wrapped a
-      // far-future one): re-arm and move on.
-      wheel_.schedule(fd, conn.deadline);
-      conn.wheelDeadline = conn.deadline;
-      conn.wheelArmed = true;
+  nextDeadline_ = std::numeric_limits<double>::infinity();
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const Connection& conn = it->second;
+    const double deadline = deadlineOf(conn);
+    if (deadline > now) {
+      nextDeadline_ = std::min(nextDeadline_, deadline);
+      ++it;
       continue;
     }
     // Classify the reap, most-specific first: an unflushable response
     // backlog beats a half-read frame beats plain silence.
     const char* kind = nullptr;
-    if (config_.writeTimeoutSeconds > 0 && conn.writePending &&
+    if (config_.writeTimeoutSeconds > 0 && conn.wantWrite &&
         now >= conn.writePendingSince + config_.writeTimeoutSeconds) {
       ++stats_.writeTimeouts;
       kind = "write deadline";
@@ -237,6 +222,8 @@ void Daemon::reapExpired(double now) {
       ++stats_.idleTimeouts;
       kind = "idle deadline";
     }
+    const int fd = it->first;
+    ++it;  // closeConnection erases the entry
     logDebug() << "pscd_daemon: closing fd " << fd << ": " << kind
                << " expired";
     closeConnection(fd);
@@ -276,10 +263,12 @@ void Daemon::acceptConnections() {
     }
     Connection conn;
     conn.fd = fd;
-    if (timersEnabled_) conn.lastActivity = clock_.now();
-    const auto [it, inserted] = conns_.emplace(fd, std::move(conn));
+    if (timersEnabled_) {
+      conn.lastActivity = clock_.now();
+      nextDeadline_ = std::min(nextDeadline_, deadlineOf(conn));
+    }
+    conns_.emplace(fd, std::move(conn));
     ++stats_.accepted;
-    if (timersEnabled_) armDeadline(it->second);
   }
 }
 
@@ -305,9 +294,16 @@ void Daemon::handleReadable(Connection& conn) {
   }
   if (timersEnabled_ && gotBytes) conn.lastActivity = clock_.now();
   if (!processInput(conn)) return;
-  if (!flushWrites(conn)) return;
-  if (timersEnabled_) armDeadline(conn);
+  if (timersEnabled_ && !conn.in.empty()) {
+    // A partial frame arms the read deadline, which may fall first.
+    nextDeadline_ = std::min(nextDeadline_, deadlineOf(conn));
+  }
+  flushWrites(conn);
 }
+
+/// A connection whose unflushed response backlog exceeds this is a slow
+/// reader and is closed rather than buffering without bound.
+constexpr std::size_t kMaxOutBufferBytes = 4u << 20;
 
 bool Daemon::processInput(Connection& conn) {
   std::size_t offset = 0;
@@ -351,10 +347,10 @@ bool Daemon::processInput(Connection& conn) {
     }
     ++framesInBatch;
     encodeFrame(reply, &conn.out);
-    if (conn.out.size() - conn.outFlushed > config_.maxOutBufferBytes) {
+    if (conn.out.size() - conn.outFlushed > kMaxOutBufferBytes) {
       logWarn() << "pscd_daemon: closing fd " << conn.fd
-                << ": response backlog over "
-                << config_.maxOutBufferBytes << " bytes";
+                << ": response backlog over " << kMaxOutBufferBytes
+                << " bytes";
       closeConnection(conn.fd);
       return false;
     }
@@ -430,16 +426,13 @@ bool Daemon::flushWrites(Connection& conn) {
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (timersEnabled_ && !conn.writePending) {
-        conn.writePending = true;
+      if (conn.wantWrite) return true;
+      conn.wantWrite = true;
+      if (timersEnabled_) {
         conn.writePendingSince = clock_.now();
-        armDeadline(conn);
+        nextDeadline_ = std::min(nextDeadline_, deadlineOf(conn));
       }
-      if (!conn.wantWrite) {
-        conn.wantWrite = true;
-        return updateInterest(conn);
-      }
-      return true;
+      return updateInterest(conn);
     }
     if (errno == EINTR) continue;
     closeConnection(conn.fd);
@@ -447,10 +440,6 @@ bool Daemon::flushWrites(Connection& conn) {
   }
   conn.out.clear();
   conn.outFlushed = 0;
-  if (conn.writePending) {
-    conn.writePending = false;
-    if (timersEnabled_) armDeadline(conn);
-  }
   if (conn.wantWrite) {
     conn.wantWrite = false;
     return updateInterest(conn);

@@ -36,11 +36,9 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/core/service.h"
-#include "pscd/net/timer_wheel.h"
 #include "pscd/net/wire.h"
 #include "pscd/net/wire_runtime.h"
 #include "pscd/topology/network.h"
@@ -52,13 +50,9 @@ struct DaemonConfig {
   std::string bindAddress = "127.0.0.1";
   /// 0 = ephemeral; the bound port is available via Daemon::port().
   std::uint16_t port = 0;
-  int backlog = 128;
   /// Connections beyond this are accepted and immediately closed
   /// (counted in DaemonStats::acceptRejected).
   std::size_t maxConnections = 1024;
-  /// A connection whose unflushed response backlog exceeds this is a
-  /// slow reader and is closed rather than buffering without bound.
-  std::size_t maxOutBufferBytes = 4u << 20;
   /// Pre-decode cap on a connection's buffered-but-undecodable input.
   /// A well-formed stream's residual after a decode pass is always
   /// under one frame (header + kMaxBodyBytes), so anything larger is
@@ -173,14 +167,9 @@ class Daemon {
     std::string in;
     std::string out;
     std::size_t outFlushed = 0;  // prefix of `out` already sent
-    bool wantWrite = false;
+    bool wantWrite = false;      // unflushed output is sitting in `out`
     double lastActivity = 0.0;   // clock_ time of the last read bytes
-    double writePendingSince = 0.0;
-    bool writePending = false;   // unflushed output is sitting in `out`
-    /// Authoritative reap time; +inf when no deadline applies.
-    double deadline = std::numeric_limits<double>::infinity();
-    double wheelDeadline = 0.0;  // earliest wheel entry live for fd
-    bool wheelArmed = false;
+    double writePendingSince = 0.0;  // clock_ time wantWrite was set
   };
 
   enum StopMode { kRunning = 0, kStopDrain = 1, kStopNow = 2 };
@@ -197,14 +186,15 @@ class Daemon {
   /// false when the connection was closed (decode/protocol error).
   bool processInput(Connection& conn);
   ResponseBody dispatch(const WireFrame& frame);
-  /// Recomputes conn.deadline from the timeout config and current
-  /// state, scheduling a wheel entry when it moved earlier.
-  void armDeadline(Connection& conn);
+  /// The earliest of conn's armed deadlines (write, read, idle); +inf
+  /// when none applies.
+  double deadlineOf(const Connection& conn) const;
   /// Closes every connection whose deadline has passed, classifying the
-  /// reap (write > read > idle) into DaemonStats.
+  /// reap (write > read > idle) into DaemonStats, and resets
+  /// nextDeadline_ to the earliest deadline left.
   void reapExpired(double now);
-  /// epoll_wait timeout honoring the wheel and the drain deadline; -1
-  /// when neither is pending (the fault-free default).
+  /// epoll_wait timeout honoring nextDeadline_ and the drain deadline;
+  /// -1 when neither is pending (the fault-free default).
   int computeWaitMs();
   void beginDrain();
   void wakeLoop();
@@ -223,10 +213,12 @@ class Daemon {
   bool timersEnabled_ = false;
   bool draining_ = false;
   double drainDeadline_ = 0.0;
+  /// Never later than any connection's deadline: lowered whenever one
+  /// can move earlier, left alone when activity pushes one later, and
+  /// recomputed by the reaping pass. +inf when nothing is armed.
+  double nextDeadline_ = std::numeric_limits<double>::infinity();
   /// Ordered by fd so any diagnostic iteration is deterministic.
   std::map<int, Connection> conns_;
-  TimerWheel wheel_;
-  std::vector<int> expiredScratch_;
   std::atomic<int> stopMode_{kRunning};
   std::atomic<bool> dumpRequested_{false};
 };

@@ -16,7 +16,7 @@
 namespace pscd::net {
 
 ServerFds openServerFds(const char* owner, const std::string& bindAddress,
-                        std::uint16_t port, int backlog) {
+                        std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -43,7 +43,7 @@ ServerFds openServerFds(const char* owner, const std::string& bindAddress,
   check(bind(fds.listenFd, reinterpret_cast<sockaddr*>(&addr),
              sizeof(addr)) == 0,
         "bind");
-  check(listen(fds.listenFd, backlog) == 0, "listen");
+  check(listen(fds.listenFd, 128) == 0, "listen");
   check(setNonBlocking(fds.listenFd), "fcntl(O_NONBLOCK)");
   socklen_t len = sizeof(addr);
   check(getsockname(fds.listenFd, reinterpret_cast<sockaddr*>(&addr),

@@ -19,12 +19,12 @@ struct ServerFds {
   std::uint16_t port = 0;  // the bound port (resolves a requested 0)
 };
 
-/// Binds `bindAddress` (an IPv4 literal) at `port`, listens with
-/// `backlog`, and registers the listener and a fresh wake eventfd with
-/// a fresh epoll set. On failure closes what it opened and throws
-/// std::runtime_error("<owner>: <call>: <errno text>").
+/// Binds `bindAddress` (an IPv4 literal) at `port`, listens with an
+/// accept queue of 128, and registers the listener and a fresh wake
+/// eventfd with a fresh epoll set. On failure closes what it opened and
+/// throws std::runtime_error("<owner>: <call>: <errno text>").
 ServerFds openServerFds(const char* owner, const std::string& bindAddress,
-                        std::uint16_t port, int backlog);
+                        std::uint16_t port);
 
 /// Sets O_NONBLOCK on `fd`; false with errno set when fcntl fails.
 bool setNonBlocking(int fd);

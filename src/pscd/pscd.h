@@ -22,7 +22,6 @@
 #include "pscd/cache/sub_strategy.h"
 #include "pscd/cache/value_cache.h"
 #include "pscd/core/fault_plan.h"
-#include "pscd/core/fault_policy.h"
 #include "pscd/core/latency.h"
 #include "pscd/core/runtime.h"
 #include "pscd/core/service.h"

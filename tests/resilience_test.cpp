@@ -14,6 +14,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -81,6 +82,28 @@ void sendAllRaw(int fd, const std::string& bytes) {
                              MSG_NOSIGNAL);
     ASSERT_GT(n, 0);
     sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// Blocks until `count` whole frames have arrived on `fd` (5 s receive
+/// timeout per recv); each must be an ok RESPONSE.
+void readOkResponsesRaw(int fd, std::size_t count) {
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::string buffer;
+  char chunk[4096];
+  for (std::size_t frames = 0; frames < count;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "after " << frames << " of " << count << " frames";
+    buffer.append(chunk, static_cast<std::size_t>(n));
+    while (true) {
+      const DecodeResult r = decodeFrame(buffer);
+      ASSERT_NE(r.status, DecodeStatus::kError) << r.error;
+      if (r.status == DecodeStatus::kNeedMore) break;
+      EXPECT_TRUE(std::get<ResponseBody>(r.frame.body).ok());
+      buffer.erase(0, r.consumed);
+      ++frames;
+    }
   }
 }
 
@@ -258,6 +281,63 @@ TEST(DaemonCounters, EveryCounterFiresExactlyOnce) {
                              .closed = 2,
                              .framesHandled = 401,
                              .writeTimeouts = 1};
+    cases.push_back(std::move(c));
+  }
+  {
+    CounterCase c;
+    c.name = "idle_deadline_follows_activity";
+    c.config.idleTimeoutSeconds = 0.2;
+    c.selfStopping = false;
+    c.provoke = [](ServeHost& host) {
+      WireClient chatty("127.0.0.1", host.daemon().port());
+      EXPECT_TRUE(chatty.publish(1, 1, 64).ok());
+      WireClient silent("127.0.0.1", host.daemon().port());
+      // Three idle periods of requests 0.05 s apart: each one pushes the
+      // chatty deadline past the wake-up the daemon recorded, while the
+      // silent client is reaped in the meantime.
+      for (int i = 0; i < 12; ++i) {
+        sleepSeconds(0.05);
+        EXPECT_TRUE(chatty.request(0, 1).ok());
+      }
+      WireFrame out;
+      EXPECT_EQ(silent.readResponse(5.0, &out), WireError::kConnReset);
+      // Quiet now: the extended deadline still comes due.
+      EXPECT_EQ(chatty.readResponse(5.0, &out), WireError::kConnReset);
+    };
+    c.expected = DaemonStats{.accepted = 2,
+                             .closed = 2,
+                             .framesHandled = 13,
+                             .idleTimeouts = 2};
+    cases.push_back(std::move(c));
+  }
+  {
+    CounterCase c;
+    c.name = "write_deadline_disarms_once_flushed";
+    c.config.writeTimeoutSeconds = 0.2;
+    c.config.sendBufferBytes = 1;
+    c.selfStopping = false;
+    c.provoke = [](ServeHost& host) {
+      {
+        WireClient seeder("127.0.0.1", host.daemon().port());
+        EXPECT_TRUE(seeder.publish(1, 1, 64).ok());
+      }
+      // The slow reader's burst arms the write deadline, but this reader
+      // drains every response at once; once flushed the deadline is gone,
+      // so idling past it costs nothing.
+      const int fd = rawConnect(host.daemon().port(), 1);
+      std::string burst;
+      for (std::uint32_t i = 0; i < 400; ++i) {
+        burst += encodedRequest(100 + i, 0, 1);
+      }
+      sendAllRaw(fd, burst);
+      readOkResponsesRaw(fd, 400);
+      sleepSeconds(0.5);
+      sendAllRaw(fd, encodedRequest(500, 0, 1));
+      readOkResponsesRaw(fd, 1);
+      ::close(fd);
+    };
+    c.expected = DaemonStats{.accepted = 2, .closed = 2,
+                             .framesHandled = 402};
     cases.push_back(std::move(c));
   }
   {
