@@ -15,6 +15,8 @@
 // driver emit byte-identical stdout and CSV.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -214,6 +216,43 @@ class CsvSink {
   Mutex mu_;
   std::ostringstream buffer_ PSCD_GUARDED_BY(mu_);
 };
+
+// --- Repeated micro-bench rows ----------------------------------------
+
+/// One row's ns/op over its repeats: the median (the mean of the middle
+/// two for an even count), the fastest and the slowest.
+struct RepeatSpread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline RepeatSpread summarizeRepeats(std::vector<double> nsPerOp) {
+  RepeatSpread spread;
+  if (nsPerOp.empty()) return spread;
+  std::sort(nsPerOp.begin(), nsPerOp.end());
+  const std::size_t mid = nsPerOp.size() / 2;
+  spread.median = nsPerOp.size() % 2 == 1
+                      ? nsPerOp[mid]
+                      : (nsPerOp[mid - 1] + nsPerOp[mid]) / 2.0;
+  spread.min = nsPerOp.front();
+  spread.max = nsPerOp.back();
+  return spread;
+}
+
+/// Empty when every repeat of `row` produced the same checksum, else the
+/// error naming the row and the first repeat that disagrees.
+inline std::string repeatChecksumError(
+    const std::string& row, const std::vector<std::uint64_t>& checksums) {
+  for (std::size_t i = 1; i < checksums.size(); ++i) {
+    if (checksums[i] != checksums[0]) {
+      return "checksum of " + row + " differs between repeats: repeat 1 " +
+             "gave " + std::to_string(checksums[0]) + ", repeat " +
+             std::to_string(i + 1) + " gave " + std::to_string(checksums[i]);
+    }
+  }
+  return std::string();
+}
 
 // --- BENCH_*.json trajectory histories -------------------------------
 //

@@ -215,7 +215,8 @@ void Daemon::reapExpired(double now) {
         now >= conn.writePendingSince + config_.writeTimeoutSeconds) {
       ++stats_.writeTimeouts;
       kind = "write deadline";
-    } else if (config_.readTimeoutSeconds > 0 && !conn.in.empty()) {
+    } else if (config_.readTimeoutSeconds > 0 && !conn.in.empty() &&
+               now >= conn.lastActivity + config_.readTimeoutSeconds) {
       ++stats_.readTimeouts;
       kind = "read deadline";
     } else {

@@ -55,7 +55,8 @@ struct MatcherLockstepConfig {
   std::uint32_t numKeywords = 16;
   /// Share of steps that remove a subscription; adds take the rest of
   /// the 60% of steps that are not publishes. Above 0.30, removals
-  /// outnumber adds and the engine compacts its index again and again.
+  /// outnumber adds, so buckets empty and their slots are reused again
+  /// and again.
   double removeShare = 0.15;
   std::size_t sabotageStep = kNoSabotage;
   std::function<void(MatchingEngine&)> sabotage;

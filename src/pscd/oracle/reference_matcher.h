@@ -1,8 +1,8 @@
-// Deliberately naive reference model of the counting-based matching
-// engine: subscriptions are stored verbatim and every publish event is
-// matched by a brute-force scan calling Subscription::matches. No
-// inverted index, no epoch-stamped scratch space, no lazy deletion —
-// nothing that could share a bug with the production MatchingEngine.
+// Deliberately naive reference model of the matching engine:
+// subscriptions are stored verbatim and every publish event is matched
+// by a brute-force scan calling Subscription::matches. No inverted
+// index, no access conjuncts, no packed records — nothing that could
+// share a bug with the production MatchingEngine.
 // Differential tests drive both in lockstep (see oracle/lockstep.h).
 #pragma once
 

@@ -117,10 +117,11 @@ PSCD_HOT void Broker::publish(const ContentAttributes& attrs,
   if (engine_.size() == 0) {
     out.assign(page.begin(), page.end());
   } else {
-    const MatchResult m = engine_.match(attrs);
+    engine_.match(attrs, matched_);
     // Both lists are sorted by proxy, so one two-pointer pass merges
-    // them; a proxy on both sides gets the sum of its counts.
-    const auto& counts = m.proxyCounts;
+    // them; a proxy on both sides gets the sum of its counts, saturated
+    // at UINT32_MAX.
+    const auto& counts = matched_.proxyCounts;
     out.reserve(page.size() + counts.size());
     auto a = page.begin();
     auto c = counts.begin();
@@ -131,7 +132,9 @@ PSCD_HOT void Broker::publish(const ContentAttributes& attrs,
         out.push_back({c->first, c->second});
         ++c;
       } else {
-        out.push_back({a->proxy, a->matchCount + c->second});
+        const std::uint32_t room =
+            std::numeric_limits<std::uint32_t>::max() - a->matchCount;
+        out.push_back({a->proxy, a->matchCount + std::min(c->second, room)});
         ++a;
         ++c;
       }

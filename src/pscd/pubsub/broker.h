@@ -40,7 +40,8 @@ class Broker {
   /// exactly page `page`; counts accumulate across calls. This is the
   /// aggregated form a proxy's subscription aggregator reports upstream.
   /// Throws std::overflow_error, changing nothing, when the accumulated
-  /// count would exceed UINT32_MAX.
+  /// count would exceed UINT32_MAX. publish() adds a proxy's predicate
+  /// matches to this count and saturates the sum at UINT32_MAX.
   void subscribeAggregated(ProxyId proxy, PageId page, std::uint32_t count);
 
   /// Removes up to `count` aggregated subscriptions (clamping at zero);
@@ -50,7 +51,8 @@ class Broker {
 
   /// Matches a publish event against all subscriptions; returns the
   /// per-proxy notification list sorted by proxy id (proxies with zero
-  /// matches are omitted). Updates fan-out statistics.
+  /// matches are omitted). A proxy's aggregated and predicate counts are
+  /// summed, saturating at UINT32_MAX. Updates fan-out statistics.
   std::vector<Notification> publish(const ContentAttributes& attrs);
   /// The same, refilling `out` in place so its capacity is reused.
   void publish(const ContentAttributes& attrs, std::vector<Notification>& out);
@@ -74,6 +76,7 @@ class Broker {
 
   std::uint32_t numProxies_;
   MatchingEngine engine_;
+  MatchResult matched_;  // publish()'s match, reused across calls
   /// One page's aggregated (proxy -> count) list, sorted by proxy id.
   struct PageSubs {
     PageId page = 0;

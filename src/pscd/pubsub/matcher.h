@@ -1,23 +1,25 @@
-// Counting-based content matching engine (in the style of Fabret et al.,
-// SIGMOD 2001): subscriptions are conjunctions of equality/containment
-// predicates; an inverted index maps each predicate key to the
-// subscriptions containing it, and a publish event matches a subscription
-// when all of its conjuncts are satisfied.
+// Content matching engine with access-predicate clustering (Fabret et
+// al., SIGMOD 2001). A subscription, a conjunction of predicates, is
+// posted in an inverted index under exactly one of its conjuncts, its
+// access conjunct; a publish event scans the buckets of its attributes
+// and tests the rest of each candidate's conjunction against the event.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "pscd/pubsub/attributes.h"
 #include "pscd/pubsub/subscription.h"
+#include "pscd/util/flat_map.h"
 #include "pscd/util/types.h"
 
 namespace pscd {
 
 /// Result of matching one publish event.
 struct MatchResult {
-  /// Ids of all matching subscriptions.
+  /// Ids of all matching subscriptions, in index order (not id order).
   std::vector<SubscriptionId> subscriptions;
   /// Number of matching subscriptions per proxy, sorted by proxy id.
   /// This is exactly the f_S(p) / s factor the push-time strategies use.
@@ -26,83 +28,80 @@ struct MatchResult {
 
 class MatchingEngine {
  public:
-  /// Postings in the inverted index, split by the state of the
-  /// subscription they belong to. Dead postings belong to removed
-  /// subscriptions and stay until the next compaction.
-  struct PostingCounts {
-    std::size_t live = 0;
-    std::size_t dead = 0;
-  };
-
-  /// Registers a subscription; duplicate predicates within one
-  /// subscription are collapsed. Throws std::invalid_argument on an
-  /// empty conjunction and std::length_error on the 2^32-th
-  /// subscription ever made.
+  /// Registers a subscription, collapsing duplicate predicates, under
+  /// its access conjunct: the one whose bucket is shortest now, ties
+  /// going to the smallest (kind, value). Throws std::invalid_argument on
+  /// an empty conjunction or an unknown kind, std::length_error on the
+  /// 2^32-th subscription ever made or 2^29-th posting of one predicate.
   SubscriptionId addSubscription(Subscription sub);
 
-  /// Removes a subscription; returns false if the id is unknown. Once
-  /// dead postings outnumber live ones, erases every dead posting in one
-  /// pass over the index (amortized O(1) per removed posting).
+  /// Removes a subscription and its posting at once; returns false if
+  /// the id is unknown or already removed.
   bool removeSubscription(SubscriptionId id);
 
-  /// Matches the attributes against all live subscriptions.
-  MatchResult match(const ContentAttributes& attrs) const;
+  /// Matches the attributes against all live subscriptions, refilling
+  /// `out` in place so its capacity is reused.
+  void match(const ContentAttributes& attrs, MatchResult& out) const;
+  MatchResult match(const ContentAttributes& attrs) const {
+    MatchResult out;
+    match(attrs, out);
+    return out;
+  }
 
   /// Number of live subscriptions.
   std::size_t size() const { return liveCount_; }
 
-  PostingCounts postingCounts() const {
-    return {livePostings_, deadPostings_};
-  }
-
-  /// Validates the inverted index against the registered subscriptions:
-  /// every posting references a known subscription, postings are unique
-  /// per key, a live subscription is referenced by exactly numConjuncts
-  /// postings and a removed one by all or none of them, the live and
-  /// posting counters match the records, and dead postings never
-  /// outnumber live ones. Throws CheckFailure on any violation.
+  /// Validates the index: each posting's record points back at its
+  /// bucket, list and position; a live subscription has one posting, a
+  /// removed one none; the free slots are the empty buckets, none mapped;
+  /// and the counters are right. Throws CheckFailure on any violation.
   void checkInvariants() const;
 
  private:
   friend class InvariantCorrupter;  // test-only state corruption hook
 
-  /// One subscription in 16 bytes. `need` is its conjunct count, or'ed
-  /// with kDead once removed, so a dead record can never reach
-  /// hits == need. `stamp` and `hits` are match()'s per-publish counter:
-  /// `hits` is valid only while `stamp` equals the current epoch.
-  struct Record {
-    ProxyId proxy = 0;
-    std::uint32_t need = 0;
-    std::uint32_t stamp = 0;
-    std::uint32_t hits = 0;
-  };
-  static constexpr std::uint32_t kDead = 0x80000000u;
-  /// A posting is a record position in 32 bits, half the size of a
-  /// SubscriptionId, so addSubscription refuses a 2^32-th record.
+  /// A record position in 32 bits, so at most 2^32 subscriptions.
   using Posting = std::uint32_t;
+  /// The posting of a single-conjunct subscription carries its proxy,
+  /// so match() counts it without touching the record.
+  struct Single { Posting id; ProxyId proxy; };
+  /// One predicate's postings; `multi` ones need their record.
+  struct Bucket {
+    Predicate key;
+    std::vector<Single> singles;
+    std::vector<Posting> multi;
+    std::size_t size() const { return singles.size() + multi.size(); }
+  };
+  /// One subscription in 16 bytes. `where` packs its posting's position
+  /// (bits 3 and up), kSingle when it sits in `singles`, and the rest
+  /// conjunct's Predicate::Kind; `rest` is that conjunct's value. With
+  /// three or more conjuncts the kind is kPooled and pool_ holds them.
+  struct Record {
+    std::uint32_t slot = 0;  // bucket, kRemoved once removed
+    std::uint32_t where = 0, rest = 0;
+    ProxyId proxy = 0;
+  };
+  static_assert(sizeof(Record) == 16);
+  static constexpr std::uint32_t kRemoved = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kPooled = 3, kSingle = 4, kPosShift = 3;
+  static constexpr std::size_t kMaxPostings = std::size_t{1} << 29;
 
-  static std::uint64_t key(Predicate::Kind kind, std::uint32_t value) {
-    return (static_cast<std::uint64_t>(kind) << 32) | value;
+  /// nullptr when predicate `p` has no bucket.
+  const std::uint32_t* slotOf(const Predicate& p) const {
+    return slots_[static_cast<std::size_t>(p.kind)].find(p.value);
   }
 
-  void compact();
-
-  // Mutable for the stamp/hits counters match() updates; match() never
-  // changes a record's proxy or need.
-  mutable std::vector<Record> recs_;
-  std::unordered_map<std::uint64_t, std::vector<Posting>> index_;
+  std::vector<Record> recs_;
+  std::vector<Bucket> buckets_;
+  /// Bucket slots by predicate kind, then value; free slots are empty.
+  std::array<FlatMap<std::uint32_t>, 3> slots_;
+  std::vector<std::uint32_t> freeSlots_;
+  /// The conjuncts besides the access one, for kPooled subscriptions.
+  std::unordered_map<Posting, std::vector<Predicate>> pool_;
   std::size_t liveCount_ = 0;
-  std::size_t livePostings_ = 0;
-  std::size_t deadPostings_ = 0;
-
-  // Per-publish scratch, reused so steady-state matching does not
-  // allocate beyond the result; mutable because match() is logically
-  // const. Epoch 0 is never current, so fresh records start unstamped.
-  mutable std::uint32_t epoch_ = 0;
-  /// Matches per proxy id, all zero between calls.
+  // match()'s scratch: matches per proxy (zero between calls), buckets.
   mutable std::vector<std::uint32_t> proxyHits_;
-  mutable std::vector<Posting> matchScratch_;
-  mutable std::vector<std::uint32_t> keywordScratch_;
+  mutable std::vector<std::uint32_t> hitSlots_;
 };
 
 }  // namespace pscd

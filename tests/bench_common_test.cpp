@@ -181,5 +181,27 @@ TEST(BenchEnv, SharedFlagsStillParseAlongsideExtras) {
   EXPECT_EQ(values.at("mode"), "open");
 }
 
+TEST(MicroRepeats, MedianOfAnEvenCountIsTheMeanOfTheMiddleTwo) {
+  const RepeatSpread spread = summarizeRepeats({40.0, 10.0, 30.0, 20.0});
+  EXPECT_DOUBLE_EQ(spread.median, 25.0);
+  EXPECT_DOUBLE_EQ(spread.min, 10.0);
+  EXPECT_DOUBLE_EQ(spread.max, 40.0);
+}
+
+TEST(MicroRepeats, MedianOfAnOddCountIsTheMiddleOne) {
+  const RepeatSpread spread = summarizeRepeats({7.0, 3.0, 5.0});
+  EXPECT_DOUBLE_EQ(spread.median, 5.0);
+  EXPECT_DOUBLE_EQ(spread.min, 3.0);
+  EXPECT_DOUBLE_EQ(spread.max, 7.0);
+  EXPECT_DOUBLE_EQ(summarizeRepeats({2.5}).median, 2.5);
+}
+
+TEST(MicroRepeats, ChecksumMismatchNamesTheRow) {
+  EXPECT_EQ(repeatChecksumError("match at 1000", {9, 9, 9}), "");
+  const std::string error = repeatChecksumError("match at 1000", {9, 9, 8});
+  EXPECT_NE(error.find("match at 1000"), std::string::npos) << error;
+  EXPECT_NE(error.find("repeat 3 gave 8"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace pscd::bench

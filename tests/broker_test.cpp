@@ -36,6 +36,19 @@ TEST(BrokerTest, AggregatedCountOverflowThrowsWithoutChange) {
   EXPECT_EQ(n[1], (Notification{1, 0xFFFFFFFFu}));
 }
 
+TEST(BrokerTest, MergedCountSaturatesInsteadOfWrapping) {
+  Broker b(3);
+  b.subscribeAggregated(2, 7, 0xFFFFFFFFu);
+  Subscription s;
+  s.proxy = 2;
+  s.conjuncts = {{Predicate::Kind::kPageIdEq, 7}};
+  b.subscribe(std::move(s));
+  // 2^32 - 1 aggregated plus one predicate match would wrap to zero.
+  EXPECT_EQ(b.publish(pageAttrs(7)),
+            (std::vector<Notification>{{2, 0xFFFFFFFFu}}));
+  EXPECT_EQ(b.notificationCount(), 0xFFFFFFFFu);
+}
+
 TEST(BrokerTest, DrainedPageLeavesOtherPagesIntact) {
   Broker b(3);
   b.subscribeAggregated(0, 1, 2);

@@ -48,10 +48,24 @@ class InvariantCorrupter {
 
   static void inflateLiveCount(MatchingEngine& m) { ++m.liveCount_; }
   static void duplicatePosting(MatchingEngine& m) {
-    auto& list = m.index_.begin()->second;
+    auto& list = m.buckets_.front().multi;
+    ASSERT_FALSE(list.empty());
     list.push_back(list.front());
   }
-  static void driftDeadPostings(MatchingEngine& m) { ++m.deadPostings_; }
+  static void swapPostings(MatchingEngine& m) {
+    // Two postings trade places; their records still name the old ones.
+    for (auto& bucket : m.buckets_) {
+      if (bucket.multi.size() >= 2) {
+        std::swap(bucket.multi.front(), bucket.multi.back());
+        return;
+      }
+      if (bucket.singles.size() >= 2) {
+        std::swap(bucket.singles.front(), bucket.singles.back());
+        return;
+      }
+    }
+    FAIL() << "no postings list holds two postings";
+  }
 
   static void unsortAggregation(Broker& b) {
     auto& list = b.aggregated_.front().list;
@@ -206,8 +220,11 @@ MatchingEngine populatedMatcher() {
   Subscription b;
   b.proxy = 1;
   b.conjuncts = {{Predicate::Kind::kCategoryEq, 4}};
+  Subscription c = b;
+  c.proxy = 2;
   m.addSubscription(std::move(a));
   m.addSubscription(std::move(b));
+  m.addSubscription(std::move(c));
   m.checkInvariants();
   return m;
 }
@@ -225,17 +242,20 @@ TEST(MatcherInvariantsTest, DetectsDuplicatedPosting) {
 }
 
 TEST(MatcherInvariantsTest, DetectsDeadPostingCounterDrift) {
+  // A misplaced posting: two postings trade places, records untouched.
   MatchingEngine m = populatedMatcher();
-  InvariantCorrupter::driftDeadPostings(m);
+  InvariantCorrupter::swapPostings(m);
   EXPECT_THROW(m.checkInvariants(), CheckFailure);
 }
 
 TEST(MatcherInvariantsTest, RemovalKeepsInvariants) {
   MatchingEngine m = populatedMatcher();
   EXPECT_TRUE(m.removeSubscription(1));
-  m.checkInvariants();  // one dead posting left in the index
+  m.checkInvariants();  // subscription 2's posting moved into the gap
   EXPECT_TRUE(m.removeSubscription(0));
-  m.checkInvariants();  // dead outnumbered live: compacted away
+  m.checkInvariants();
+  EXPECT_TRUE(m.removeSubscription(2));
+  m.checkInvariants();  // the emptied bucket's slot is free
 }
 
 TEST(BrokerInvariantsTest, DetectsUnsortedAggregationList) {

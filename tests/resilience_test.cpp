@@ -255,6 +255,24 @@ TEST(DaemonCounters, EveryCounterFiresExactlyOnce) {
   }
   {
     CounterCase c;
+    c.name = "idle_timeout_before_read_deadline";
+    c.config.idleTimeoutSeconds = 0.1;
+    c.config.readTimeoutSeconds = 5.0;
+    c.selfStopping = false;
+    c.provoke = [](ServeHost& host) {
+      WireClient client("127.0.0.1", host.daemon().port());
+      // A partial frame arms the read deadline, but the idle deadline
+      // comes due first: the reap is an idle timeout, not a read one.
+      client.sendRaw(encodedRequest(1, 0, 1).substr(0, 8));
+      WireFrame out;
+      EXPECT_EQ(client.readResponse(5.0, &out), WireError::kConnReset);
+    };
+    c.expected = DaemonStats{.accepted = 1, .closed = 1,
+                             .idleTimeouts = 1};
+    cases.push_back(std::move(c));
+  }
+  {
+    CounterCase c;
     c.name = "write_timeout_slow_reader";
     c.config.writeTimeoutSeconds = 0.2;
     c.config.sendBufferBytes = 1;  // kernel clamps to its floor
