@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -74,37 +73,20 @@ struct BenchOption {
   std::string defaultValue;  // builtin default
 };
 
-/// Testable core of parseBenchEnv. Environment variables provide
-/// *defaults* that explicit flags always override:
-///
-///   PSCD_BENCH_JOBS   default for --jobs
-///   PSCD_BENCH_SCALE  default for --scale
-///   PSCD_BENCH_CSV    default for --csv
-///
-/// All environment access goes through `envLookup` (pass nullptr-
-/// returning lambdas in tests; parseBenchEnv wires std::getenv), so the
-/// precedence logic is unit-testable without mutating the process
-/// environment. Does not print or exit.
+/// Testable core of parseBenchEnv: does not print or exit.
 inline BenchEnvStatus tryParseBenchEnv(
     int argc, const char* const* argv, const std::string& program,
-    const std::string& description,
-    const std::function<const char*(const char*)>& envLookup, BenchEnv* out,
-    std::string* message, const std::vector<BenchOption>& extraOptions = {},
+    const std::string& description, BenchEnv* out, std::string* message,
+    const std::vector<BenchOption>& extraOptions = {},
     std::map<std::string, std::string>* extraValues = nullptr) {
-  const auto envDefault = [&](const char* name, const std::string& fallback) {
-    const char* v = envLookup ? envLookup(name) : nullptr;
-    return v != nullptr && *v != '\0' ? std::string(v) : fallback;
-  };
   ArgParser parser(program, description);
   parser.addOption("jobs",
                    "worker threads for simulation cells "
                    "(0 = hardware concurrency)",
-                   envDefault("PSCD_BENCH_JOBS", "0"));
+                   "0");
   parser.addOption("scale",
-                   "workload scale factor in (0, 1]; 1 = paper setup",
-                   envDefault("PSCD_BENCH_SCALE", "1"));
-  parser.addOption("csv", "also write every table to this CSV file",
-                   envDefault("PSCD_BENCH_CSV", ""));
+                   "workload scale factor in (0, 1]; 1 = paper setup", "1");
+  parser.addOption("csv", "also write every table to this CSV file", "");
   for (const BenchOption& option : extraOptions) {
     parser.addOption(option.name, option.help, option.defaultValue);
   }
@@ -116,7 +98,7 @@ inline BenchEnvStatus tryParseBenchEnv(
     *message = program + ": " + parser.error() + "\n" + parser.help();
     return BenchEnvStatus::kError;
   }
-  try {  // malformed values can arrive via PSCD_BENCH_* as well as flags
+  try {
     out->jobs = resolveJobs(parser.optionInt<unsigned>("jobs"));
     out->scale = parser.optionDouble("scale");
   } catch (const std::logic_error& e) {  // invalid_argument, out_of_range
@@ -147,9 +129,8 @@ inline BenchEnv parseBenchEnv(
   BenchEnv env;
   std::string message;
   const BenchEnvStatus status = tryParseBenchEnv(
-      argc, argv, program, description,
-      [](const char* name) { return std::getenv(name); }, &env, &message,
-      extraOptions, extraValues);
+      argc, argv, program, description, &env, &message, extraOptions,
+      extraValues);
   if (status == BenchEnvStatus::kHelp) {
     std::printf("%s", message.c_str());
     std::exit(0);
@@ -196,18 +177,9 @@ class CsvSink {
       MutexLock lock(mu_);
       content = buffer_.str();
     }
-    const std::string tmp = path + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      out << content;
-      if (!out) {
-        std::fprintf(stderr, "csv export: cannot write %s\n", tmp.c_str());
-        std::exit(1);
-      }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::fprintf(stderr, "csv export: cannot rename %s -> %s\n",
-                   tmp.c_str(), path.c_str());
+    std::string error;
+    if (!writeTextFileAtomic(path, content, &error)) {
+      std::fprintf(stderr, "csv export: %s\n", error.c_str());
       std::exit(1);
     }
   }

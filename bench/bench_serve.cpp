@@ -24,7 +24,7 @@
 // path). Results go to stdout (ASCII table), optionally --csv, and
 // append a timestamped entry to BENCH_serve.json (schema
 // pscd-bench-serve-v2, same capped-history format as BENCH_micro.json;
-// v1 entries are carried forward unchanged on first write).
+// a file without the v2 tag is replaced by a fresh history).
 // --scale multiplies the warmup/measure durations for smoke runs;
 // --jobs is accepted for flag uniformity but unused (--concurrency
 // sets the worker count).

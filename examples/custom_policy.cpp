@@ -9,8 +9,6 @@
 //
 //   $ ./custom_policy
 #include <cstdio>
-#include <list>
-#include <unordered_map>
 
 #include "pscd/pscd.h"
 
@@ -19,30 +17,31 @@ using namespace pscd;
 namespace {
 
 /// Push-aware LRU: admission is unconditional (like LRU), pushes count
-/// as touches. Everything the interface requires in ~60 lines.
+/// as touches. The pages live in a ValueCache valued by a touch counter,
+/// so evictFor() drops the least recently touched page first.
 class PushLruStrategy final : public DistributionStrategy {
  public:
-  explicit PushLruStrategy(Bytes capacity) : capacity_(capacity) {}
+  explicit PushLruStrategy(Bytes capacity) : cache_(capacity) {}
 
   bool pushCapable() const override { return true; }
 
   PushOutcome onPush(const PushContext& ctx) override {
-    if (ctx.size > capacity_) return {false};
+    if (ctx.size > cache_.capacity()) return {false};
     touch(ctx.page, ctx.version, ctx.size, ctx.now);
     return {true};
   }
 
   RequestOutcome onRequest(const RequestContext& ctx) override {
     RequestOutcome out;
-    const auto it = map_.find(ctx.page);
-    if (it != map_.end() && it->second->version == ctx.latestVersion) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      it->second->lastAccess = ctx.now;
+    const auto* cached = cache_.find(ctx.page);
+    if (cached != nullptr && cached->version == ctx.latestVersion) {
+      cache_.updateValue(cache_.recordAccess(*cached, ctx.now),
+                         static_cast<double>(++ticks_));
       out.hit = true;
       return out;
     }
-    out.stale = it != map_.end();
-    if (ctx.size <= capacity_) {
+    out.stale = cached != nullptr;
+    if (ctx.size <= cache_.capacity()) {
       touch(ctx.page, ctx.latestVersion, ctx.size, ctx.now);
       out.storedAfterMiss = true;
     }
@@ -50,41 +49,27 @@ class PushLruStrategy final : public DistributionStrategy {
   }
 
   std::optional<Version> cachedVersion(PageId page) const override {
-    const auto it = map_.find(page);
-    return it != map_.end() ? std::optional<Version>(it->second->version)
-                            : std::nullopt;
+    const auto* e = cache_.find(page);
+    return e ? std::optional<Version>(e->version) : std::nullopt;
   }
 
-  Bytes usedBytes() const override { return used_; }
-  Bytes capacityBytes() const override { return capacity_; }
-  std::string name() const override { return "PushLRU"; }
+  Bytes usedBytes() const override { return cache_.used(); }
+  Bytes capacityBytes() const override { return cache_.capacity(); }
 
  private:
   void touch(PageId page, Version version, Bytes size, SimTime now) {
-    if (const auto it = map_.find(page); it != map_.end()) {
-      used_ -= it->second->size;
-      lru_.erase(it->second);
-      map_.erase(it);
-    }
-    while (capacity_ - used_ < size) {
-      used_ -= lru_.back().size;
-      map_.erase(lru_.back().page);
-      lru_.pop_back();
-    }
+    cache_.erase(page);
+    cache_.evictFor(size);
     CacheEntry e;
     e.page = page;
     e.version = version;
     e.size = size;
     e.lastAccess = now;
-    lru_.push_front(e);
-    map_[page] = lru_.begin();
-    used_ += size;
+    cache_.insertNoEvict(e, static_cast<double>(++ticks_));
   }
 
-  Bytes capacity_;
-  Bytes used_ = 0;
-  std::list<CacheEntry> lru_;
-  std::unordered_map<PageId, std::list<CacheEntry>::iterator> map_;
+  ValueCache cache_;
+  std::uint64_t ticks_ = 0;  // touches so far
 };
 
 /// Replays a workload against one strategy instance per proxy and

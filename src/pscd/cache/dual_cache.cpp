@@ -37,30 +37,6 @@ DualCacheStrategy::DualCacheStrategy(Bytes capacity, double fetchCost,
   }
 }
 
-std::string DualCacheStrategy::name() const {
-  switch (config_.mode) {
-    case PartitionMode::kFixed:
-      return "DC-FP";
-    case PartitionMode::kAdaptive:
-      return "DC-AP";
-    case PartitionMode::kLimitedAdaptive:
-      return "DC-LAP";
-  }
-  return "DC";
-}
-
-double DualCacheStrategy::subValue(std::uint32_t subCount, Bytes size) const {
-  return static_cast<double>(subCount) * fetchCost_ /
-         static_cast<double>(size);
-}
-
-double DualCacheStrategy::gdValue(std::uint32_t accessCount,
-                                  Bytes size) const {
-  const double utility =
-      static_cast<double>(accessCount) * fetchCost_ / static_cast<double>(size);
-  return inflation_ + std::pow(utility, 1.0 / config_.beta);
-}
-
 bool DualCacheStrategy::acForceInsert(CacheEntry entry, SimTime now) {
   const auto evicted = ac_.evictFor(entry.size);
   if (!evicted) return false;
@@ -68,12 +44,13 @@ bool DualCacheStrategy::acForceInsert(CacheEntry entry, SimTime now) {
     inflation_ = evicted->back().value;
     lastAcReplacement_ = now;
   }
-  ac_.insertNoEvict(entry, gdValue(entry.accessCount, entry.size));
+  ac_.insertNoEvict(entry,
+                    gdStarValue(entry, fetchCost_, config_.beta, inflation_));
   return true;
 }
 
 bool DualCacheStrategy::pcInsert(const CacheEntry& entry) {
-  const double v = subValue(entry.subCount, entry.size);
+  const double v = subValue(entry, fetchCost_);
   if (const auto evicted = pc_.tryEvictLowerThan(v, entry.size)) {
     pc_.insertNoEvict(entry, v);
     return true;
@@ -145,7 +122,7 @@ PushOutcome DualCacheStrategy::onPush(const PushContext& ctx) {
   // "Placing in DC-AP": claim idle AC storage for the push cache.
   if (config_.mode != PartitionMode::kFixed &&
       claimFromAccessCache(ctx.size)) {
-    pc_.insertNoEvict(entry, subValue(entry.subCount, entry.size));
+    pc_.insertNoEvict(entry, subValue(entry, fetchCost_));
     return {true};
   }
   return {false};
@@ -164,7 +141,8 @@ RequestOutcome DualCacheStrategy::onRequest(const RequestContext& ctx) {
       ++entry.accessCount;
       entry.lastAccess = ctx.now;
       if (shiftBudgetToAc(entry.size)) {
-        ac_.insertNoEvict(entry, gdValue(entry.accessCount, entry.size));
+        ac_.insertNoEvict(
+            entry, gdStarValue(entry, fetchCost_, config_.beta, inflation_));
       } else {
         acForceInsert(entry, ctx.now);  // page dropped if it cannot fit
       }
@@ -185,7 +163,8 @@ RequestOutcome DualCacheStrategy::onRequest(const RequestContext& ctx) {
   if (const auto* inAc = ac_.find(ctx.page)) {
     if (inAc->version == ctx.latestVersion) {
       const auto& entry = ac_.recordAccess(ctx.page, ctx.now);
-      ac_.updateValue(ctx.page, gdValue(entry.accessCount, entry.size));
+      ac_.updateValue(ctx.page, gdStarValue(entry, fetchCost_, config_.beta,
+                                            inflation_));
       out.hit = true;
       return out;
     }

@@ -12,8 +12,6 @@
 //    fixed-partition behaviour.
 #pragma once
 
-#include <string>
-
 #include "pscd/cache/strategy.h"
 #include "pscd/cache/value_cache.h"
 
@@ -46,7 +44,6 @@ class DualCacheStrategy final : public DistributionStrategy {
   }
   Bytes usedBytes() const override { return pc_.used() + ac_.used(); }
   Bytes capacityBytes() const override { return totalCapacity_; }
-  std::string name() const override;
   void checkInvariants() const override;
 
   const ValueCache& pushCache() const { return pc_; }
@@ -55,8 +52,6 @@ class DualCacheStrategy final : public DistributionStrategy {
   SimTime lastAcReplacement() const { return lastAcReplacement_; }
 
  private:
-  double subValue(std::uint32_t subCount, Bytes size) const;
-  double gdValue(std::uint32_t accessCount, Bytes size) const;
   /// Classic GD* insert into AC: evicts by value until the page fits,
   /// updating L and the last-replacement timestamp. False when the page
   /// exceeds AC's capacity.

@@ -10,70 +10,46 @@ namespace pscd {
 
 DualMethodsStrategy::DualMethodsStrategy(Bytes capacity, double fetchCost,
                                          double beta)
-    : capacity_(capacity), fetchCost_(fetchCost), beta_(beta) {
+    : fetchCost_(fetchCost), beta_(beta), cache_(capacity) {
   if (fetchCost <= 0 || beta <= 0) {
     throw std::invalid_argument("DualMethodsStrategy: bad fetchCost/beta");
   }
 }
 
-PSCD_HOT double DualMethodsStrategy::subValue(std::uint32_t subCount,
-                                              Bytes size) const {
-  return static_cast<double>(subCount) * fetchCost_ /
-         static_cast<double>(size);
-}
-
-PSCD_HOT double DualMethodsStrategy::gdValue(std::uint32_t accessCount,
-                                             Bytes size) const {
-  const double utility =
-      static_cast<double>(accessCount) * fetchCost_ / static_cast<double>(size);
-  return inflation_ + std::pow(utility, 1.0 / beta_);
-}
-
-PSCD_HOT void DualMethodsStrategy::removeEntry(
-    std::unordered_map<PageId, DmEntry>::iterator it) {
-  subIndex_.erase({it->second.subValue, it->first});
-  gdIndex_.erase({it->second.gdValue, it->first});
-  used_ -= it->second.size;
-  entries_.erase(it);
-}
-
-PSCD_HOT void DualMethodsStrategy::store(const DmEntry& entry) {
-  PSCD_DCHECK_LE(used_ + entry.size, capacity_)
-      << "DualMethodsStrategy::store without room for page " << entry.page;
-  entries_.emplace(entry.page, entry);
-  subIndex_.emplace(entry.subValue, entry.page);
-  gdIndex_.emplace(entry.gdValue, entry.page);
-  used_ += entry.size;
+PSCD_HOT void DualMethodsStrategy::store(const CacheEntry& entry) {
+  cache_.insertNoEvict(entry, gdStarValue(entry, fetchCost_, beta_,
+                                          inflation_));
+  subOrder_.insert(subKey(entry));
 }
 
 PSCD_HOT PushOutcome DualMethodsStrategy::onPush(const PushContext& ctx) {
-  DmEntry entry;
-  if (const auto it = entries_.find(ctx.page); it != entries_.end()) {
-    entry = it->second;  // refresh in place, keep access history
-    removeEntry(it);
+  CacheEntry entry;
+  if (const auto prior = cache_.erase(ctx.page)) {
+    entry = *prior;  // refresh in place, keep access history
+    subOrder_.erase(subKey(entry));
   }
   entry.page = ctx.page;
   entry.version = ctx.version;
   entry.size = ctx.size;
   entry.subCount = ctx.subCount;
-  entry.subValue = subValue(ctx.subCount, ctx.size);
-  entry.gdValue = gdValue(entry.accessCount, ctx.size);
+  const double value = subValue(entry, fetchCost_);
 
-  // SUB admission over the subscription ordering.
-  Bytes reclaimable = capacity_ - used_;
+  // SUB admission over the subscription ordering; push-time evictions
+  // do not advance L.
+  Bytes reclaimable = cache_.free();
   bool feasible = reclaimable >= ctx.size;
-  for (auto it = subIndex_.begin();
-       !feasible && it != subIndex_.end() && it->first < entry.subValue;
-       ++it) {
-    reclaimable += entries_.at(it->second).size;
+  for (auto it = subOrder_.begin();
+       !feasible && it != subOrder_.end() && it->first < value; ++it) {
+    reclaimable += cache_.find(it->second)->size;
     feasible = reclaimable >= ctx.size;
   }
   if (!feasible) return {false};
-  while (capacity_ - used_ < ctx.size) {
-    const auto low = subIndex_.begin();
-    PSCD_DCHECK(low != subIndex_.end() && low->first < entry.subValue)
+  while (cache_.free() < ctx.size) {
+    const auto low = subOrder_.begin();
+    PSCD_DCHECK(low != subOrder_.end() && low->first < value)
         << "DualMethodsStrategy: SUB admission evicting non-candidate";
-    removeEntry(entries_.find(low->second));
+    cache_.erase(low->second);
+    subOrder_.erase(low);
   }
   store(entry);
   return {true};
@@ -82,66 +58,48 @@ PSCD_HOT PushOutcome DualMethodsStrategy::onPush(const PushContext& ctx) {
 PSCD_HOT RequestOutcome DualMethodsStrategy::onRequest(
     const RequestContext& ctx) {
   RequestOutcome out;
-  DmEntry entry;
-  if (const auto it = entries_.find(ctx.page); it != entries_.end()) {
-    if (it->second.version == ctx.latestVersion) {
-      // Hit: the access module re-evaluates under the current L. Re-key
-      // the GD* index by node extraction — the hit path runs per
-      // request, and erase+emplace would churn a tree node each time.
-      auto node = gdIndex_.extract({it->second.gdValue, ctx.page});
-      PSCD_DCHECK(!node.empty())
-          << "DualMethodsStrategy: GD* index missing page " << ctx.page;
-      ++it->second.accessCount;
-      it->second.lastAccess = ctx.now;
-      it->second.gdValue = gdValue(it->second.accessCount, it->second.size);
-      node.value().first = it->second.gdValue;
-      gdIndex_.insert(std::move(node));
+  CacheEntry entry;
+  if (const auto* cached = cache_.find(ctx.page)) {
+    if (cached->version == ctx.latestVersion) {
+      // Hit: the access module re-evaluates under the current L.
+      const auto& hit = cache_.recordAccess(*cached, ctx.now);
+      cache_.updateValue(hit, gdStarValue(hit, fetchCost_, beta_, inflation_));
       out.hit = true;
       return out;
     }
     out.stale = true;
-    entry = it->second;
-    removeEntry(it);
+    entry = *cache_.erase(ctx.page);
+    subOrder_.erase(subKey(entry));
   }
-  // Miss: classic GD* placement over the access ordering (always admit).
-  if (ctx.size > capacity_) return out;
-  while (capacity_ - used_ < ctx.size) {
-    const auto low = gdIndex_.begin();
-    inflation_ = low->first;
-    removeEntry(entries_.find(low->second));
-  }
+  // Miss: classic GD* placement over the access ordering (always admit);
+  // L ends up as the value of the page evicted last.
+  const auto evicted = cache_.evictFor(ctx.size);
+  if (!evicted) return out;
+  for (const auto& victim : *evicted) subOrder_.erase(subKey(victim));
+  if (!evicted->empty()) inflation_ = evicted->back().value;
   entry.page = ctx.page;
   entry.version = ctx.latestVersion;
   entry.size = ctx.size;
   entry.subCount = ctx.subCount;
   ++entry.accessCount;
   entry.lastAccess = ctx.now;
-  entry.subValue = subValue(ctx.subCount, ctx.size);
-  entry.gdValue = gdValue(entry.accessCount, ctx.size);
   store(entry);
   out.storedAfterMiss = true;
   return out;
 }
 
 void DualMethodsStrategy::checkInvariants() const {
-  PSCD_CHECK_EQ(entries_.size(), subIndex_.size())
-      << "DualMethodsStrategy: SUB index size mismatch";
-  PSCD_CHECK_EQ(entries_.size(), gdIndex_.size())
-      << "DualMethodsStrategy: GD* index size mismatch";
-  Bytes total = 0;
-  // pscd-lint: allow(unordered-iter) per-entry assertions + commutative sum
-  for (const auto& [page, e] : entries_) {
-    PSCD_CHECK_EQ(e.page, page) << "DualMethodsStrategy: entry id mismatch";
-    PSCD_CHECK(std::isfinite(e.subValue) && std::isfinite(e.gdValue))
-        << "DualMethodsStrategy: non-finite value for page " << page;
-    PSCD_CHECK(subIndex_.contains({e.subValue, page}))
-        << "DualMethodsStrategy: SUB index missing page " << page;
-    PSCD_CHECK(gdIndex_.contains({e.gdValue, page}))
-        << "DualMethodsStrategy: GD* index missing page " << page;
-    total += e.size;
-  }
-  PSCD_CHECK_EQ(total, used_) << "DualMethodsStrategy: byte accounting drift";
-  PSCD_CHECK_LE(used_, capacity_) << "DualMethodsStrategy: over capacity";
+  // Finite GD* values and the byte accounting are the cache's checks.
+  cache_.checkInvariants();
+  PSCD_CHECK_EQ(subOrder_.size(), cache_.size())
+      << "DualMethodsStrategy: SUB order size mismatch";
+  cache_.forEach([this](const ValueCache::StoredEntry& e) {
+    const SubKey key = subKey(e);
+    PSCD_CHECK(std::isfinite(key.first))
+        << "DualMethodsStrategy: non-finite SUB value for page " << e.page;
+    PSCD_CHECK(subOrder_.contains(key))
+        << "DualMethodsStrategy: SUB order missing page " << e.page;
+  });
   PSCD_CHECK(std::isfinite(inflation_) && inflation_ >= 0.0)
       << "DualMethodsStrategy: bad inflation value L";
 }

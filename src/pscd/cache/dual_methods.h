@@ -8,14 +8,15 @@
 #pragma once
 
 #include <set>
-#include <string>
-#include <unordered_map>
+#include <utility>
 
-#include "pscd/cache/entry.h"
 #include "pscd/cache/strategy.h"
+#include "pscd/cache/value_cache.h"
 
 namespace pscd {
 
+/// The pages live in one ValueCache ordered by the GD* value; a set of
+/// (SUB value, page) keys orders the same pages for the push module.
 class DualMethodsStrategy final : public DistributionStrategy {
  public:
   DualMethodsStrategy(Bytes capacity, double fetchCost, double beta);
@@ -24,40 +25,32 @@ class DualMethodsStrategy final : public DistributionStrategy {
   PushOutcome onPush(const PushContext& ctx) override;
   RequestOutcome onRequest(const RequestContext& ctx) override;
   std::optional<Version> cachedVersion(PageId page) const override {
-    const auto it = entries_.find(page);
-    return it != entries_.end() ? std::optional<Version>(it->second.version)
-                                : std::nullopt;
+    const auto* e = cache_.find(page);
+    return e ? std::optional<Version>(e->version) : std::nullopt;
   }
-  Bytes usedBytes() const override { return used_; }
-  Bytes capacityBytes() const override { return capacity_; }
-  std::string name() const override { return "DM"; }
+  Bytes usedBytes() const override { return cache_.used(); }
+  Bytes capacityBytes() const override { return cache_.capacity(); }
   void checkInvariants() const override;
 
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return cache_.size(); }
   double inflation() const { return inflation_; }
 
  private:
   friend class InvariantCorrupter;  // test-only state corruption hook
 
-  struct DmEntry : CacheEntry {
-    double subValue = 0.0;  // SUB ordering (push module)
-    double gdValue = 0.0;   // GD* ordering (access module)
-  };
-  using Key = std::pair<double, PageId>;
+  using SubKey = std::pair<double, PageId>;
 
-  double subValue(std::uint32_t subCount, Bytes size) const;
-  double gdValue(std::uint32_t accessCount, Bytes size) const;
-  void removeEntry(std::unordered_map<PageId, DmEntry>::iterator it);
-  void store(const DmEntry& entry);
+  SubKey subKey(const CacheEntry& e) const {
+    return {subValue(e, fetchCost_), e.page};
+  }
+  /// Stores a page that fits, valued by GD* under the current L.
+  void store(const CacheEntry& entry);
 
-  Bytes capacity_;
-  Bytes used_ = 0;
   double fetchCost_;
   double beta_;
-  double inflation_ = 0.0;  // L of the access-time GD* module
-  std::unordered_map<PageId, DmEntry> entries_;
-  std::set<Key> subIndex_;
-  std::set<Key> gdIndex_;
+  double inflation_ = 0.0;     // L of the access-time GD* module
+  ValueCache cache_;           // GD* order (access module)
+  std::set<SubKey> subOrder_;  // SUB order (push module)
 };
 
 }  // namespace pscd

@@ -12,7 +12,6 @@ GdsFamilyConfig gdStarConfig(double beta) {
   GdsFamilyConfig c;
   c.freqMode = GdsFamilyConfig::FreqMode::kAccessOnly;
   c.beta = beta;
-  c.displayName = "GD*";
   return c;
 }
 
@@ -23,7 +22,6 @@ GdsFamilyConfig sg1Config(double beta) {
   c.valueBasedAdmission = true;
   c.persistentAccessCounts = true;
   c.beta = beta;
-  c.displayName = "SG1";
   return c;
 }
 
@@ -34,7 +32,6 @@ GdsFamilyConfig sg2Config(double beta) {
   c.valueBasedAdmission = true;
   c.persistentAccessCounts = true;
   c.beta = beta;
-  c.displayName = "SG2";
   return c;
 }
 
@@ -46,7 +43,6 @@ GdsFamilyConfig srConfig() {
   c.persistentAccessCounts = true;
   c.useInflation = false;
   c.beta = 1.0;
-  c.displayName = "SR";
   return c;
 }
 
@@ -54,7 +50,6 @@ GdsFamilyConfig gdsConfig() {
   GdsFamilyConfig c;
   c.freqMode = GdsFamilyConfig::FreqMode::kConstantOne;
   c.beta = 1.0;
-  c.displayName = "GDS";
   return c;
 }
 
@@ -64,7 +59,6 @@ GdsFamilyConfig lfuDaConfig() {
   c.beta = 1.0;
   c.useCost = false;
   c.useSize = false;
-  c.displayName = "LFU-DA";
   return c;
 }
 

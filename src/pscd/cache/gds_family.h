@@ -15,8 +15,6 @@
 // whole family shares this implementation.
 #pragma once
 
-#include <string>
-
 #include "pscd/cache/strategy.h"
 #include "pscd/cache/value_cache.h"
 #include "pscd/util/flat_map.h"
@@ -52,8 +50,6 @@ struct GdsFamilyConfig {
   /// count, and the proxy knows its full access history for that — so
   /// SG1/SG2/SR keep a persistent per-page counter.
   bool persistentAccessCounts = false;
-
-  std::string displayName = "GD*";
 };
 
 /// Canonical configurations for the named strategies.
@@ -78,7 +74,6 @@ class GdsFamilyStrategy final : public DistributionStrategy {
   }
   Bytes usedBytes() const override { return cache_.used(); }
   Bytes capacityBytes() const override { return cache_.capacity(); }
-  std::string name() const override { return config_.displayName; }
   void checkInvariants() const override;
 
   /// Current inflation value (exposed for tests).

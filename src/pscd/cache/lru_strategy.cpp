@@ -1,43 +1,21 @@
 #include "pscd/cache/lru_strategy.h"
 
-#include <stdexcept>
-
-#include "pscd/util/check.h"
-
 namespace pscd {
-
-LruStrategy::LruStrategy(Bytes capacity) : capacity_(capacity) {}
-
-PushOutcome LruStrategy::onPush(const PushContext&) { return {false}; }
-
-void LruStrategy::evictUntil(Bytes size) {
-  while (capacity_ - used_ < size) {
-    const CacheEntry& victim = lru_.back();
-    used_ -= victim.size;
-    map_.erase(victim.page);
-    lru_.pop_back();
-  }
-}
 
 RequestOutcome LruStrategy::onRequest(const RequestContext& ctx) {
   RequestOutcome out;
-  const auto it = map_.find(ctx.page);
-  if (it != map_.end()) {
-    if (it->second->version == ctx.latestVersion) {
-      ++it->second->accessCount;
-      it->second->lastAccess = ctx.now;
-      lru_.splice(lru_.begin(), lru_, it->second);
+  if (const auto* cached = cache_.find(ctx.page)) {
+    if (cached->version == ctx.latestVersion) {
+      cache_.updateValue(cache_.recordAccess(*cached, ctx.now),
+                         static_cast<double>(++ticks_));
       out.hit = true;
       return out;
     }
     // Stale: drop and refetch.
     out.stale = true;
-    used_ -= it->second->size;
-    lru_.erase(it->second);
-    map_.erase(it);
+    cache_.erase(ctx.page);
   }
-  if (ctx.size > capacity_) return out;
-  evictUntil(ctx.size);
+  if (!cache_.evictFor(ctx.size)) return out;  // larger than the cache
   CacheEntry entry;
   entry.page = ctx.page;
   entry.version = ctx.latestVersion;
@@ -45,26 +23,9 @@ RequestOutcome LruStrategy::onRequest(const RequestContext& ctx) {
   entry.subCount = ctx.subCount;
   entry.accessCount = 1;
   entry.lastAccess = ctx.now;
-  lru_.push_front(entry);
-  map_[ctx.page] = lru_.begin();
-  used_ += ctx.size;
+  cache_.insertNoEvict(entry, static_cast<double>(++ticks_));
   out.storedAfterMiss = true;
   return out;
-}
-
-void LruStrategy::checkInvariants() const {
-  PSCD_CHECK_EQ(map_.size(), lru_.size())
-      << "LruStrategy: map and recency list disagree";
-  Bytes total = 0;
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    const auto mapIt = map_.find(it->page);
-    PSCD_CHECK(mapIt != map_.end() && mapIt->second == it)
-        << "LruStrategy: map does not point at list node for page "
-        << it->page;
-    total += it->size;
-  }
-  PSCD_CHECK_EQ(total, used_) << "LruStrategy: byte accounting drifted";
-  PSCD_CHECK_LE(used_, capacity_) << "LruStrategy: over capacity";
 }
 
 }  // namespace pscd

@@ -4,43 +4,35 @@
 // re-checks that premise on our workload).
 #pragma once
 
-#include <list>
-#include <string>
-#include <unordered_map>
+#include <cstdint>
 
-#include "pscd/cache/entry.h"
 #include "pscd/cache/strategy.h"
+#include "pscd/cache/value_cache.h"
 
 namespace pscd {
 
+/// A page's value is the tick of its last touch (insert or hit), so
+/// ValueCache::evictFor removes the least recently used page first.
 class LruStrategy final : public DistributionStrategy {
  public:
-  explicit LruStrategy(Bytes capacity);
+  explicit LruStrategy(Bytes capacity) : cache_(capacity) {}
 
   bool pushCapable() const override { return false; }
-  PushOutcome onPush(const PushContext& ctx) override;
+  PushOutcome onPush(const PushContext&) override { return {false}; }
   RequestOutcome onRequest(const RequestContext& ctx) override;
   std::optional<Version> cachedVersion(PageId page) const override {
-    const auto it = map_.find(page);
-    return it != map_.end() ? std::optional<Version>(it->second->version)
-                            : std::nullopt;
+    const auto* e = cache_.find(page);
+    return e ? std::optional<Version>(e->version) : std::nullopt;
   }
-  Bytes usedBytes() const override { return used_; }
-  Bytes capacityBytes() const override { return capacity_; }
-  std::string name() const override { return "LRU"; }
-  void checkInvariants() const override;
-
-  std::size_t size() const { return map_.size(); }
+  Bytes usedBytes() const override { return cache_.used(); }
+  Bytes capacityBytes() const override { return cache_.capacity(); }
+  void checkInvariants() const override { cache_.checkInvariants(); }
 
  private:
   friend class InvariantCorrupter;  // test-only state corruption hook
 
-  void evictUntil(Bytes size);
-
-  Bytes capacity_;
-  Bytes used_ = 0;
-  std::list<CacheEntry> lru_;  // front = most recent
-  std::unordered_map<PageId, std::list<CacheEntry>::iterator> map_;
+  ValueCache cache_;
+  std::uint64_t ticks_ = 0;  // touches so far
 };
 
 }  // namespace pscd

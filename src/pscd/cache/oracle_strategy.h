@@ -8,7 +8,6 @@
 // capacity (bench_ablation_oracle).
 #pragma once
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -37,7 +36,6 @@ class OracleStrategy final : public DistributionStrategy {
   }
   Bytes usedBytes() const override { return cache_.used(); }
   Bytes capacityBytes() const override { return cache_.capacity(); }
-  std::string name() const override { return "ORACLE"; }
   void checkInvariants() const override { cache_.checkInvariants(); }
 
  private:

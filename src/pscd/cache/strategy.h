@@ -6,9 +6,7 @@
 // placement opportunity).
 #pragma once
 
-#include <memory>
 #include <optional>
-#include <string>
 
 #include "pscd/util/types.h"
 
@@ -79,8 +77,6 @@ class DistributionStrategy {
 
   virtual Bytes usedBytes() const = 0;
   virtual Bytes capacityBytes() const = 0;
-
-  virtual std::string name() const = 0;
 
   /// Test hook: throws std::logic_error on any violated invariant.
   virtual void checkInvariants() const {}

@@ -13,11 +13,6 @@ SubStrategy::SubStrategy(Bytes capacity, double fetchCost)
   }
 }
 
-PSCD_HOT double SubStrategy::value(std::uint32_t subCount, Bytes size) const {
-  return static_cast<double>(subCount) * fetchCost_ /
-         static_cast<double>(size);
-}
-
 PSCD_HOT PushOutcome SubStrategy::onPush(const PushContext& ctx) {
   CacheEntry entry;
   if (const auto prior = cache_.erase(ctx.page)) entry = *prior;
@@ -27,7 +22,7 @@ PSCD_HOT PushOutcome SubStrategy::onPush(const PushContext& ctx) {
   entry.subCount = ctx.subCount;
   // SUB may decide not to store the page when the candidate pages
   // (those with smaller value) cannot free enough space.
-  const double v = value(ctx.subCount, ctx.size);
+  const double v = subValue(entry, fetchCost_);
   if (const auto evicted = cache_.tryEvictLowerThan(v, ctx.size)) {
     cache_.insertNoEvict(entry, v);
     return {true};

@@ -5,8 +5,6 @@
 // the user WITHOUT being cached locally.
 #pragma once
 
-#include <string>
-
 #include "pscd/cache/strategy.h"
 #include "pscd/cache/value_cache.h"
 
@@ -25,15 +23,12 @@ class SubStrategy final : public DistributionStrategy {
   }
   Bytes usedBytes() const override { return cache_.used(); }
   Bytes capacityBytes() const override { return cache_.capacity(); }
-  std::string name() const override { return "SUB"; }
   void checkInvariants() const override { cache_.checkInvariants(); }
 
   const ValueCache& cache() const { return cache_; }
 
  private:
   friend class InvariantCorrupter;  // test-only state corruption hook
-
-  double value(std::uint32_t subCount, Bytes size) const;
 
   double fetchCost_;
   ValueCache cache_;

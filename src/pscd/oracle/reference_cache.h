@@ -2,13 +2,14 @@
 // mirrors the *specified* behaviour of its production counterpart —
 // same value formulas, same admission rules, same (value, page)
 // eviction tie-break — but stores entries in a flat vector and finds
-// every eviction victim with a full scan instead of maintaining the
-// ordered std::set indexes of ValueCache / DualMethodsStrategy. They
-// implement DistributionStrategy so the lockstep driver can compare
-// push/request outcomes and byte accounting step by step.
+// every eviction victim with a full scan, where production keeps
+// ValueCache's heap (plus DualMethodsStrategy's std::set for its SUB
+// order). Each model writes its value formulas out on its own instead
+// of sharing production's, so a wrong formula shows as a divergence.
+// They implement DistributionStrategy so the lockstep driver can
+// compare push/request outcomes and byte accounting step by step.
 #pragma once
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +36,6 @@ class ReferenceLruStrategy final : public DistributionStrategy {
   }
   Bytes usedBytes() const override;
   Bytes capacityBytes() const override { return capacity_; }
-  std::string name() const override { return "ref-LRU"; }
 
  private:
   struct Slot {
@@ -66,9 +66,6 @@ class ReferenceGdsFamilyStrategy final : public DistributionStrategy {
   }
   Bytes usedBytes() const override;
   Bytes capacityBytes() const override { return capacity_; }
-  std::string name() const override {
-    return "ref-" + config_.displayName;
-  }
 
  private:
   struct Slot {
@@ -113,7 +110,6 @@ class ReferenceSubStrategy final : public DistributionStrategy {
   }
   Bytes usedBytes() const override;
   Bytes capacityBytes() const override { return capacity_; }
-  std::string name() const override { return "ref-SUB"; }
 
  private:
   struct Slot {
@@ -147,7 +143,6 @@ class ReferenceDualMethodsStrategy final : public DistributionStrategy {
   }
   Bytes usedBytes() const override;
   Bytes capacityBytes() const override { return capacity_; }
-  std::string name() const override { return "ref-DM"; }
 
  private:
   struct Slot {

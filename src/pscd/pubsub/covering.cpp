@@ -21,17 +21,14 @@ std::vector<Predicate> normalizeConjuncts(std::vector<Predicate> conjuncts) {
 }
 
 bool covers(const Subscription& a, const Subscription& b) {
-  if (a.conjuncts.empty()) return false;  // empty matches nothing
-  const auto na = normalizeConjuncts(a.conjuncts);
-  const auto nb = normalizeConjuncts(b.conjuncts);
-  // a covers b iff a's constraints are a subset of b's.
-  return std::includes(nb.begin(), nb.end(), na.begin(), na.end(),
-                       predicateLess);
+  return coversNormalized(normalizeConjuncts(a.conjuncts),
+                          normalizeConjuncts(b.conjuncts));
 }
 
 PSCD_HOT bool coversNormalized(const std::vector<Predicate>& na,
                                const std::vector<Predicate>& nb) {
   if (na.empty()) return false;  // empty matches nothing
+  // a covers b iff a's constraints are a subset of b's.
   return std::includes(nb.begin(), nb.end(), na.begin(), na.end(),
                        predicateLess);
 }

@@ -1,7 +1,6 @@
-// Tests for the shared bench flag/env parsing (bench/bench_common.h):
-// explicit flags beat PSCD_BENCH_* environment defaults, which beat the
-// builtin defaults, and every invalid input surfaces as kError with a
-// printable diagnostic instead of exiting.
+// Tests for the shared bench flag parsing (bench/bench_common.h): flags
+// override the builtin defaults, and every invalid input surfaces as
+// kError with a printable diagnostic instead of exiting.
 #include <map>
 #include <string>
 #include <vector>
@@ -13,70 +12,30 @@
 namespace pscd::bench {
 namespace {
 
-using EnvMap = std::map<std::string, std::string>;
-
-BenchEnvStatus parse(const std::vector<std::string>& flags, const EnvMap& env,
-                     BenchEnv* out, std::string* message,
+BenchEnvStatus parse(const std::vector<std::string>& flags, BenchEnv* out,
+                     std::string* message,
                      const std::vector<BenchOption>& extraOptions = {},
                      std::map<std::string, std::string>* extraValues = nullptr) {
   std::vector<const char*> argv = {"bench_test"};
   for (const std::string& f : flags) argv.push_back(f.c_str());
-  const auto lookup = [&env](const char* name) -> const char* {
-    const auto it = env.find(name);
-    return it == env.end() ? nullptr : it->second.c_str();
-  };
   return tryParseBenchEnv(static_cast<int>(argv.size()), argv.data(),
-                          "bench_test", "test driver", lookup, out, message,
+                          "bench_test", "test driver", out, message,
                           extraOptions, extraValues);
 }
 
 TEST(BenchEnv, BuiltinDefaults) {
   BenchEnv env;
   std::string message;
-  ASSERT_EQ(parse({}, {}, &env, &message), BenchEnvStatus::kOk);
+  ASSERT_EQ(parse({}, &env, &message), BenchEnvStatus::kOk);
   EXPECT_GE(env.jobs, 1u);  // --jobs 0 resolves to hardware concurrency
   EXPECT_DOUBLE_EQ(env.scale, 1.0);
   EXPECT_TRUE(env.csvPath.empty());
 }
 
-TEST(BenchEnv, EnvironmentProvidesDefaults) {
-  BenchEnv env;
-  std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "2"},
-                       {"PSCD_BENCH_SCALE", "0.5"},
-                       {"PSCD_BENCH_CSV", "env.csv"}};
-  ASSERT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kOk);
-  EXPECT_EQ(env.jobs, 2u);
-  EXPECT_DOUBLE_EQ(env.scale, 0.5);
-  EXPECT_EQ(env.csvPath, "env.csv");
-}
-
-TEST(BenchEnv, FlagsOverrideEnvironment) {
-  BenchEnv env;
-  std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "2"},
-                       {"PSCD_BENCH_SCALE", "0.5"},
-                       {"PSCD_BENCH_CSV", "env.csv"}};
-  ASSERT_EQ(parse({"--jobs", "3", "--scale", "0.25", "--csv", "flag.csv"},
-                  vars, &env, &message),
-            BenchEnvStatus::kOk);
-  EXPECT_EQ(env.jobs, 3u);
-  EXPECT_DOUBLE_EQ(env.scale, 0.25);
-  EXPECT_EQ(env.csvPath, "flag.csv");
-}
-
-TEST(BenchEnv, EmptyEnvironmentValueFallsBackToBuiltin) {
-  BenchEnv env;
-  std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_SCALE", ""}};
-  ASSERT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kOk);
-  EXPECT_DOUBLE_EQ(env.scale, 1.0);
-}
-
 TEST(BenchEnv, HelpReturnsHelpText) {
   BenchEnv env;
   std::string message;
-  EXPECT_EQ(parse({"--help"}, {}, &env, &message), BenchEnvStatus::kHelp);
+  EXPECT_EQ(parse({"--help"}, &env, &message), BenchEnvStatus::kHelp);
   EXPECT_NE(message.find("--jobs"), std::string::npos);
   EXPECT_NE(message.find("--scale"), std::string::npos);
 }
@@ -84,7 +43,7 @@ TEST(BenchEnv, HelpReturnsHelpText) {
 TEST(BenchEnv, UnknownFlagIsError) {
   BenchEnv env;
   std::string message;
-  EXPECT_EQ(parse({"--frobnicate"}, {}, &env, &message),
+  EXPECT_EQ(parse({"--frobnicate"}, &env, &message),
             BenchEnvStatus::kError);
   EXPECT_NE(message.find("bench_test:"), std::string::npos);
 }
@@ -92,7 +51,7 @@ TEST(BenchEnv, UnknownFlagIsError) {
 TEST(BenchEnv, OutOfRangeScaleIsError) {
   BenchEnv env;
   std::string message;
-  EXPECT_EQ(parse({"--scale", "2"}, {}, &env, &message),
+  EXPECT_EQ(parse({"--scale", "2"}, &env, &message),
             BenchEnvStatus::kError);
   EXPECT_NE(message.find("--scale"), std::string::npos);
 }
@@ -100,16 +59,14 @@ TEST(BenchEnv, OutOfRangeScaleIsError) {
 TEST(BenchEnv, OutOfRangeScaleFromEnvironmentIsError) {
   BenchEnv env;
   std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_SCALE", "0"}};
-  EXPECT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kError);
+  EXPECT_EQ(parse({"--scale", "0"}, &env, &message), BenchEnvStatus::kError);
   EXPECT_NE(message.find("--scale"), std::string::npos);
 }
 
 TEST(BenchEnv, NegativeJobsFromEnvironmentIsError) {
   BenchEnv env;
   std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "-1"}};
-  EXPECT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kError);
+  EXPECT_EQ(parse({"--jobs", "-1"}, &env, &message), BenchEnvStatus::kError);
   EXPECT_NE(message.find("--jobs"), std::string::npos);
 }
 
@@ -117,29 +74,16 @@ TEST(BenchEnv, JobsBeyondUnsignedIsErrorNotWrapped) {
   // 2^32 + 1 would wrap to 1 worker through a cast to unsigned.
   BenchEnv env;
   std::string message;
-  EXPECT_EQ(parse({"--jobs", "4294967297"}, {}, &env, &message),
+  EXPECT_EQ(parse({"--jobs", "4294967297"}, &env, &message),
             BenchEnvStatus::kError);
-  EXPECT_NE(message.find("--jobs"), std::string::npos);
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "4294967297"}};
-  EXPECT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kError);
   EXPECT_NE(message.find("--jobs"), std::string::npos);
 }
 
 TEST(BenchEnv, MalformedJobsFromEnvironmentIsErrorNotThrow) {
   BenchEnv env;
   std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "many"}};
-  EXPECT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kError);
+  EXPECT_EQ(parse({"--jobs", "many"}, &env, &message), BenchEnvStatus::kError);
   EXPECT_NE(message.find("--jobs"), std::string::npos);
-}
-
-TEST(BenchEnv, ValidFlagBeatsMalformedEnvironment) {
-  BenchEnv env;
-  std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_SCALE", "bogus"}};
-  ASSERT_EQ(parse({"--scale", "0.75"}, vars, &env, &message),
-            BenchEnvStatus::kOk);
-  EXPECT_DOUBLE_EQ(env.scale, 0.75);
 }
 
 // ---- bench-specific extra options (the bench_serve machinery) ---------
@@ -153,7 +97,7 @@ TEST(BenchEnv, ExtraOptionBuiltinDefault) {
   BenchEnv env;
   std::string message;
   std::map<std::string, std::string> values;
-  ASSERT_EQ(parse({}, {}, &env, &message, serveLikeOptions(), &values),
+  ASSERT_EQ(parse({}, &env, &message, serveLikeOptions(), &values),
             BenchEnvStatus::kOk);
   EXPECT_EQ(values.at("mode"), "closed");
   EXPECT_EQ(values.at("qps"), "1000");
@@ -163,7 +107,7 @@ TEST(BenchEnv, ExtraOptionsAppearInHelpText) {
   BenchEnv env;
   std::string message;
   std::map<std::string, std::string> values;
-  EXPECT_EQ(parse({"--help"}, {}, &env, &message, serveLikeOptions(), &values),
+  EXPECT_EQ(parse({"--help"}, &env, &message, serveLikeOptions(), &values),
             BenchEnvStatus::kHelp);
   EXPECT_NE(message.find("--mode"), std::string::npos);
   EXPECT_NE(message.find("--qps"), std::string::npos);
@@ -174,10 +118,13 @@ TEST(BenchEnv, SharedFlagsStillParseAlongsideExtras) {
   BenchEnv env;
   std::string message;
   std::map<std::string, std::string> values;
-  ASSERT_EQ(parse({"--scale", "0.5", "--mode", "open"}, {}, &env, &message,
-                  serveLikeOptions(), &values),
+  ASSERT_EQ(parse({"--jobs", "3", "--scale", "0.5", "--csv", "flag.csv",
+                   "--mode", "open"},
+                  &env, &message, serveLikeOptions(), &values),
             BenchEnvStatus::kOk);
+  EXPECT_EQ(env.jobs, 3u);
   EXPECT_DOUBLE_EQ(env.scale, 0.5);
+  EXPECT_EQ(env.csvPath, "flag.csv");
   EXPECT_EQ(values.at("mode"), "open");
 }
 

@@ -40,8 +40,10 @@ class InvariantCorrupter {
     driftUsedBytes(s.cache_);
   }
   static void driftUsedBytes(SubStrategy& s) { driftUsedBytes(s.cache_); }
-  static void driftUsedBytes(DualMethodsStrategy& s) { ++s.used_; }
-  static void driftUsedBytes(LruStrategy& s) { ++s.used_; }
+  static void driftUsedBytes(DualMethodsStrategy& s) {
+    driftUsedBytes(s.cache_);
+  }
+  static void driftUsedBytes(LruStrategy& s) { driftUsedBytes(s.cache_); }
 
   static void inflateLiveCount(MatchingEngine& m) { ++m.liveCount_; }
   static void dropIndexBucket(MatchingEngine& m) {
@@ -245,16 +247,21 @@ std::vector<CachePair> cachePairs() {
          return std::make_unique<ReferenceSubStrategy>(kCapacity, kFetchCost);
        },
        driftSabotage<SubStrategy>()});
-  pairs.push_back({"DM",
-                   [] {
-                     return std::make_unique<DualMethodsStrategy>(
-                         kCapacity, kFetchCost, 1.0);
-                   },
-                   [] {
-                     return std::make_unique<ReferenceDualMethodsStrategy>(
-                         kCapacity, kFetchCost, 1.0);
-                   },
-                   driftSabotage<DualMethodsStrategy>()});
+  // At beta = 1 pow(u, 1/beta) returns u unchanged, so the beta = 2 pair
+  // is the one that compares the access value under a real exponent.
+  for (const auto& [label, beta] :
+       {std::pair{"DM", 1.0}, std::pair{"DM beta=2", 2.0}}) {
+    pairs.push_back({label,
+                     [beta] {
+                       return std::make_unique<DualMethodsStrategy>(
+                           kCapacity, kFetchCost, beta);
+                     },
+                     [beta] {
+                       return std::make_unique<ReferenceDualMethodsStrategy>(
+                           kCapacity, kFetchCost, beta);
+                     },
+                     driftSabotage<DualMethodsStrategy>()});
+  }
   return pairs;
 }
 

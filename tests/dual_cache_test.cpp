@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pscd/cache/strategy_factory.h"
 #include "pscd/util/rng.h"
 
 namespace pscd {
@@ -48,7 +49,6 @@ TEST(DualCacheTest, InitialPartitionSplitsCapacity) {
   EXPECT_EQ(s.accessCache().capacity(), 50u);
   EXPECT_EQ(s.capacityBytes(), 100u);
   EXPECT_TRUE(s.pushCapable());
-  EXPECT_EQ(s.name(), "DC-FP");
 }
 
 TEST(DualCacheTest, PushGoesToPushCache) {
@@ -227,9 +227,9 @@ TEST(DualCacheTest, ConfigValidation) {
 }
 
 TEST(DualCacheTest, NamesPerMode) {
-  EXPECT_EQ(DualCacheStrategy(100, 1.0, fp()).name(), "DC-FP");
-  EXPECT_EQ(DualCacheStrategy(100, 1.0, ap()).name(), "DC-AP");
-  EXPECT_EQ(DualCacheStrategy(100, 1.0, lap()).name(), "DC-LAP");
+  EXPECT_EQ(strategyName(StrategyKind::kDCFP), "DC-FP");
+  EXPECT_EQ(strategyName(StrategyKind::kDCAP), "DC-AP");
+  EXPECT_EQ(strategyName(StrategyKind::kDCLAP), "DC-LAP");
 }
 
 }  // namespace

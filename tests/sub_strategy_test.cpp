@@ -19,7 +19,6 @@ RequestContext req(PageId page, Bytes size, Version latest = 0) {
 TEST(SubStrategyTest, IsPushCapable) {
   SubStrategy s(100, 1.0);
   EXPECT_TRUE(s.pushCapable());
-  EXPECT_EQ(s.name(), "SUB");
 }
 
 TEST(SubStrategyTest, PushStoresAndRequestHits) {
