@@ -349,7 +349,7 @@ int run(int argc, char** argv) {
        "0"},
       {"chaos-latency-ms", "proxy: fixed delay per direction", "0"},
       {"chaos-jitter-ms", "proxy: uniform extra delay per chunk", "0"},
-      {"chaos-bps", "proxy: 1-byte-dribble throttle rate; 0 = off", "0"},
+      {"chaos-bps", "proxy: client-to-server bytes/s throttle; 0 = off", "0"},
       {"chaos-reset-bytes",
        "proxy: RST a faulted connection once the client sent this many "
        "bytes; 0 = off",

@@ -57,13 +57,13 @@ int main(int argc, char** argv) {
               sizes.mean() / 1e3, sizes.min() / 1e3, sizes.max() / 1e3);
   std::printf("Versions per page: mean %.1f, max %.0f\n", versions.mean(),
               versions.max());
-  Histogram hourly(0.0, reloaded.params.publishing.horizon, 7 * 24);
-  for (const auto& r : reloaded.requests) hourly.add(r.time);
+  HourlySeries hourly(7 * 24);
+  for (const auto& r : reloaded.requests) hourly.add(r.time, 1.0);
   double peak = 0.0;
   std::size_t peakHour = 0;
-  for (std::size_t h = 0; h < hourly.bins(); ++h) {
-    if (hourly.count(h) > peak) {
-      peak = hourly.count(h);
+  for (std::size_t h = 0; h < hourly.hours(); ++h) {
+    if (hourly.numerator(h) > peak) {
+      peak = hourly.numerator(h);
       peakHour = h;
     }
   }

@@ -105,11 +105,9 @@ int ChaosProxy::computeWaitMs(double now) const {
   for (const auto& [id, link] : links_) {
     for (const Pipe* pipe : {&link.up, &link.down}) {
       if (pipe->queue.empty() || pipe->dstWantWrite) continue;
-      double at = pipe->queue.front().releaseAt;
-      if (pipe->faults.bytesPerSecond > 0) {
-        at = std::max(at, pipe->nextSendAt);
-      }
-      wake = std::min(wake, at);
+      // nextSendAt stays 0 on a pipe without a throttle.
+      wake = std::min(
+          wake, std::max(pipe->queue.front().releaseAt, pipe->nextSendAt));
     }
   }
   if (!std::isfinite(wake)) return -1;
@@ -273,30 +271,19 @@ void ChaosProxy::pumpRead(std::uint64_t linkId, bool clientSide,
     }
     if (clientSide) link.clientBytesIn += static_cast<std::uint64_t>(n);
 
-    // Stall / truncate cap how much of this read is ever forwarded.
+    // Stall / truncate cap how much of this read is ever forwarded: a
+    // cap `limit` bytes into the stream that this read reaches fires.
     std::size_t allow = static_cast<std::size_t>(n);
-    bool willStall = false;
-    bool willTruncate = false;
-    if (pipe.faults.stallAfterBytes > 0) {
+    const auto capAt = [&](std::uint64_t limit) {
+      if (limit == 0) return false;
       const std::uint64_t room =
-          pipe.faults.stallAfterBytes > pipe.ingested
-              ? pipe.faults.stallAfterBytes - pipe.ingested
-              : 0;
-      if (allow >= room) {
-        allow = static_cast<std::size_t>(room);
-        willStall = true;
-      }
-    }
-    if (pipe.faults.truncateAfterBytes > 0) {
-      const std::uint64_t room =
-          pipe.faults.truncateAfterBytes > pipe.ingested
-              ? pipe.faults.truncateAfterBytes - pipe.ingested
-              : 0;
-      if (allow >= room) {
-        allow = static_cast<std::size_t>(room);
-        willTruncate = true;
-      }
-    }
+          limit > pipe.ingested ? limit - pipe.ingested : 0;
+      if (allow < room) return false;
+      allow = static_cast<std::size_t>(room);
+      return true;
+    };
+    const bool willStall = capAt(pipe.faults.stallAfterBytes);
+    const bool willTruncate = capAt(pipe.faults.truncateAfterBytes);
     if (allow > 0) {
       Chunk chunk;
       chunk.data.assign(buffer, allow);
@@ -339,9 +326,14 @@ bool ChaosProxy::flushPipe(std::uint64_t linkId, bool upstream, double now) {
     Chunk& chunk = pipe.queue.front();
     if (now < chunk.releaseAt) break;
     std::size_t want = chunk.data.size() - chunk.sent;
-    if (pipe.faults.bytesPerSecond > 0) {
-      if (now < pipe.nextSendAt) break;
-      want = 1;  // dribble: frame boundaries land mid-header downstream
+    const double rate = pipe.faults.bytesPerSecond;
+    const double slot = std::max(pipe.nextSendAt, chunk.releaseAt);
+    if (rate > 0) {
+      // Throttled: send every byte already due. A pass still ends at an
+      // arbitrary byte, so the peer sees frames split anywhere.
+      if (now < slot) break;
+      want = static_cast<std::size_t>(std::min(
+          static_cast<double>(want), std::floor((now - slot) * rate) + 1.0));
     }
     const ssize_t n =
         send(dstFd, chunk.data.data() + chunk.sent, want, MSG_NOSIGNAL);
@@ -358,10 +350,7 @@ bool ChaosProxy::flushPipe(std::uint64_t linkId, bool upstream, double now) {
     pipe.forwarded += static_cast<std::uint64_t>(n);
     (upstream ? stats_.bytesUpstream : stats_.bytesDownstream) +=
         static_cast<std::uint64_t>(n);
-    if (pipe.faults.bytesPerSecond > 0) {
-      pipe.nextSendAt =
-          std::max(now, pipe.nextSendAt) + 1.0 / pipe.faults.bytesPerSecond;
-    }
+    if (rate > 0) pipe.nextSendAt = slot + static_cast<double>(n) / rate;
     if (chunk.sent == chunk.data.size()) pipe.queue.pop_front();
   }
   if (pipe.queue.empty() && (pipe.srcEof || pipe.truncated) &&

@@ -5,9 +5,9 @@
 //   latency + jitter   — chunks are held until now + latency + jitter,
 //                        jitter drawn from a per-connection,
 //                        per-direction SplitMix64 stream;
-//   bandwidth throttle — bytes dribble through one at a time at the
-//                        configured rate (so frame boundaries land
-//                        mid-header on the peer);
+//   bandwidth throttle — each pass forwards the bytes due at the
+//                        configured rate, so frames reach the peer
+//                        split at arbitrary bytes;
 //   stall              — forward N bytes, then stop forwarding and stop
 //                        reading: the stream simply hangs mid-frame;
 //   truncate           — forward N bytes, then half-close the
@@ -47,7 +47,7 @@ struct ChaosDirection {
   /// Uniform [0, jitterSeconds) added on top, per chunk, from the
   /// direction's SplitMix64 stream.
   double jitterSeconds = 0.0;
-  /// When > 0, forwarded bytes are paced one at a time at this rate.
+  /// When > 0, forwarded bytes are paced at this many per second.
   double bytesPerSecond = 0.0;
   /// When > 0, forward exactly this many bytes then hang the stream
   /// (no EOF, no RST — the peer just waits).

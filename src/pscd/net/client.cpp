@@ -100,14 +100,12 @@ bool WireClient::sendAllNoThrow(const std::string& bytes,
   return true;
 }
 
-void WireClient::sendAll(const std::string& bytes) {
+void WireClient::sendRaw(const std::string& bytes) {
   std::string message;
   if (!sendAllNoThrow(bytes, &message)) {
     throw std::runtime_error("WireClient: " + message);
   }
 }
-
-void WireClient::sendRaw(const std::string& bytes) { sendAll(bytes); }
 
 WireError WireClient::readFrame(double deadline, WireFrame* out,
                                 std::string* message) {

@@ -138,7 +138,6 @@ class WireClient {
   void connectSocket();
   /// connectSocket without the throw; counts the reconnect on success.
   bool reconnect(std::string* message);
-  void sendAll(const std::string& bytes);
   bool sendAllNoThrow(const std::string& bytes, std::string* message);
   /// call(frame, CallOptions{}), throwing unless the daemon answered.
   ResponseBody answer(const WireFrame& frame);

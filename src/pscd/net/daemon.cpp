@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "pscd/net/socket.h"
-#include "pscd/util/log.h"
 #include "pscd/util/rng.h"
 
 namespace pscd::net {
@@ -36,7 +35,6 @@ std::string formatDaemonStats(const DaemonStats& s) {
   field("decode_errors", s.decodeErrors);
   field("protocol_errors", s.protocolErrors);
   field("error_responses", s.errorResponses);
-  field("input_overflows", s.inputOverflows);
   field("idle_timeouts", s.idleTimeouts);
   field("read_timeouts", s.readTimeouts);
   field("write_timeouts", s.writeTimeouts);
@@ -189,7 +187,7 @@ double Daemon::deadlineOf(const Connection& conn) const {
   if (config_.writeTimeoutSeconds > 0 && conn.wantWrite) {
     d = std::min(d, conn.writePendingSince + config_.writeTimeoutSeconds);
   }
-  if (config_.readTimeoutSeconds > 0 && !conn.in.empty()) {
+  if (config_.readTimeoutSeconds > 0 && conn.session.buffered() > 0) {
     d = std::min(d, conn.lastActivity + config_.readTimeoutSeconds);
   }
   if (config_.idleTimeoutSeconds > 0) {
@@ -214,20 +212,18 @@ void Daemon::reapExpired(double now) {
     if (config_.writeTimeoutSeconds > 0 && conn.wantWrite &&
         now >= conn.writePendingSince + config_.writeTimeoutSeconds) {
       ++stats_.writeTimeouts;
-      kind = "write deadline";
-    } else if (config_.readTimeoutSeconds > 0 && !conn.in.empty() &&
+      kind = "write deadline expired";
+    } else if (config_.readTimeoutSeconds > 0 && conn.session.buffered() > 0 &&
                now >= conn.lastActivity + config_.readTimeoutSeconds) {
       ++stats_.readTimeouts;
-      kind = "read deadline";
+      kind = "read deadline expired";
     } else {
       ++stats_.idleTimeouts;
-      kind = "idle deadline";
+      kind = "idle deadline expired";
     }
     const int fd = it->first;
     ++it;  // closeConnection erases the entry
-    logDebug() << "pscd_daemon: closing fd " << fd << ": " << kind
-               << " expired";
-    closeConnection(fd);
+    closeConnection(fd, kind, LogLevel::kDebug);
   }
 }
 
@@ -262,8 +258,8 @@ void Daemon::acceptConnections() {
       ::close(fd);
       continue;
     }
-    Connection conn;
-    conn.fd = fd;
+    Connection conn{fd, Session(service_, clock_, stats_,
+                                config_.shedThreshold)};
     if (timersEnabled_) {
       conn.lastActivity = clock_.now();
       nextDeadline_ = std::min(nextDeadline_, deadlineOf(conn));
@@ -276,11 +272,17 @@ void Daemon::acceptConnections() {
 void Daemon::handleReadable(Connection& conn) {
   char buffer[65536];
   bool gotBytes = false;
+  conn.session.beginRead();
   while (true) {
     const ssize_t n = recv(conn.fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
       gotBytes = true;
-      conn.in.append(buffer, static_cast<std::size_t>(n));
+      const std::optional<std::string> why = conn.session.receive(
+          std::string_view(buffer, static_cast<std::size_t>(n)));
+      if (why) {
+        closeConnection(conn.fd, *why);
+        return;
+      }
       if (static_cast<std::size_t>(n) < sizeof(buffer)) break;
       continue;
     }
@@ -294,81 +296,72 @@ void Daemon::handleReadable(Connection& conn) {
     return;
   }
   if (timersEnabled_ && gotBytes) conn.lastActivity = clock_.now();
-  if (!processInput(conn)) return;
-  if (timersEnabled_ && !conn.in.empty()) {
+  if (timersEnabled_ && conn.session.buffered() > 0) {
     // A partial frame arms the read deadline, which may fall first.
     nextDeadline_ = std::min(nextDeadline_, deadlineOf(conn));
   }
   flushWrites(conn);
 }
 
-/// A connection whose unflushed response backlog exceeds this is a slow
+/// A session whose unsent response backlog exceeds this is a slow
 /// reader and is closed rather than buffering without bound.
 constexpr std::size_t kMaxOutBufferBytes = 4u << 20;
 
-bool Daemon::processInput(Connection& conn) {
+std::optional<std::string> Session::receive(std::string_view chunk) {
+  in_.append(chunk);
+  std::optional<std::string> why;
   std::size_t offset = 0;
-  std::size_t framesInBatch = 0;
-  while (offset < conn.in.size()) {
-    const DecodeResult r = decodeFrame(
-        reinterpret_cast<const std::uint8_t*>(conn.in.data()) + offset,
-        conn.in.size() - offset);
+  while (offset < in_.size()) {
+    DecodeResult r = decodeFrame(std::string_view(in_).substr(offset));
     if (r.status == DecodeStatus::kNeedMore) break;
     if (r.status == DecodeStatus::kError) {
       ++stats_.decodeErrors;
-      logWarn() << "pscd_daemon: closing fd " << conn.fd << ": " << r.error;
-      closeConnection(conn.fd);
-      return false;
+      why = std::move(r.error);
+      break;
     }
     offset += r.consumed;
     if (r.frame.type() == FrameType::kResponse) {
       ++stats_.protocolErrors;
-      logWarn() << "pscd_daemon: closing fd " << conn.fd
-                << ": client sent RESPONSE";
-      closeConnection(conn.fd);
-      return false;
+      why = "client sent RESPONSE";
+      break;
     }
     ++stats_.framesHandled;
     WireFrame reply;
     reply.seq = r.frame.seq;
-    // Load shedding: past the threshold within one input drain, answer
-    // REQUESTs with kOverloaded in constant time instead of executing
-    // them. State-mutating frames always execute — shedding those would
-    // silently fork client and server subscription state.
-    if (config_.shedThreshold > 0 && r.frame.type() == FrameType::kRequest &&
-        framesInBatch >= config_.shedThreshold) {
-      ResponseBody overloaded;
-      overloaded.op = static_cast<std::uint8_t>(FrameType::kRequest);
-      overloaded.status =
-          static_cast<std::uint8_t>(ResponseStatus::kOverloaded);
-      reply.body = overloaded;
+    // Load shedding: past the threshold within one readable event,
+    // answer REQUESTs with kOverloaded in constant time instead of
+    // executing them. State-mutating frames always execute — shedding
+    // those would silently fork client and server subscription state.
+    if (shedThreshold_ > 0 && r.frame.type() == FrameType::kRequest &&
+        framesThisRead_ >= shedThreshold_) {
+      reply.body = ResponseBody{
+          .status = static_cast<std::uint8_t>(ResponseStatus::kOverloaded),
+          .op = static_cast<std::uint8_t>(FrameType::kRequest)};
       ++stats_.overloadShed;
     } else {
       reply.body = dispatch(r.frame);
     }
-    ++framesInBatch;
-    encodeFrame(reply, &conn.out);
-    if (conn.out.size() - conn.outFlushed > kMaxOutBufferBytes) {
-      logWarn() << "pscd_daemon: closing fd " << conn.fd
-                << ": response backlog over " << kMaxOutBufferBytes
-                << " bytes";
-      closeConnection(conn.fd);
-      return false;
+    ++framesThisRead_;
+    encodeFrame(reply, &out_);
+    if (out_.size() - sent_ > kMaxOutBufferBytes) {
+      why = "response backlog over " + std::to_string(kMaxOutBufferBytes) +
+            " bytes";
+      break;
     }
   }
-  conn.in.erase(0, offset);
-  if (conn.in.size() > config_.maxInBufferBytes) {
-    ++stats_.inputOverflows;
-    logWarn() << "pscd_daemon: closing fd " << conn.fd << ": "
-              << conn.in.size() << " undecodable buffered bytes over the "
-              << config_.maxInBufferBytes << "-byte cap";
-    closeConnection(conn.fd);
-    return false;
-  }
-  return true;
+  // A closing session keeps nothing; an open one keeps its partial frame.
+  in_.erase(0, why ? in_.size() : offset);
+  return why;
 }
 
-ResponseBody Daemon::dispatch(const WireFrame& frame) {
+void Session::markSent(std::size_t n) {
+  sent_ += n;
+  if (sent_ < out_.size()) return;
+  out_.clear();
+  sent_ = 0;
+}
+
+ResponseBody Session::dispatch(const WireFrame& frame) {
   ResponseBody response;
   response.op = static_cast<std::uint8_t>(frame.type());
   try {
@@ -402,7 +395,7 @@ ResponseBody Daemon::dispatch(const WireFrame& frame) {
         break;
       }
       case FrameType::kResponse:
-        break;  // rejected by processInput before dispatch
+        break;  // rejected by receive() before dispatch
     }
   } catch (const std::exception& e) {
     // A failed operation answers with status=kError and zeroed payload;
@@ -418,12 +411,11 @@ ResponseBody Daemon::dispatch(const WireFrame& frame) {
 }
 
 bool Daemon::flushWrites(Connection& conn) {
-  while (conn.outFlushed < conn.out.size()) {
-    const ssize_t n =
-        send(conn.fd, conn.out.data() + conn.outFlushed,
-             conn.out.size() - conn.outFlushed, MSG_NOSIGNAL);
+  while (!conn.session.unsent().empty()) {
+    const std::string_view out = conn.session.unsent();
+    const ssize_t n = send(conn.fd, out.data(), out.size(), MSG_NOSIGNAL);
     if (n >= 0) {
-      conn.outFlushed += static_cast<std::size_t>(n);
+      conn.session.markSent(static_cast<std::size_t>(n));
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -439,8 +431,6 @@ bool Daemon::flushWrites(Connection& conn) {
     closeConnection(conn.fd);
     return false;
   }
-  conn.out.clear();
-  conn.outFlushed = 0;
   if (conn.wantWrite) {
     conn.wantWrite = false;
     return updateInterest(conn);
@@ -459,10 +449,14 @@ bool Daemon::updateInterest(Connection& conn) {
   return true;
 }
 
-void Daemon::closeConnection(int fd) {
+void Daemon::closeConnection(int fd, std::string_view why, LogLevel level) {
   const auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  if (draining_ && it->second.outFlushed == it->second.out.size()) {
+  if (!why.empty()) {
+    logMessage(level, "pscd_daemon: closing fd " + std::to_string(fd) +
+                          ": " + std::string(why));
+  }
+  if (draining_ && it->second.session.unsent().empty()) {
     // The drain delivered this connection's in-flight responses before
     // it closed — the whole point of stopDrain() over stop().
     ++stats_.drainFlushed;

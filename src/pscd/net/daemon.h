@@ -1,47 +1,31 @@
-// The networked pscd serving tier: a single-threaded, non-blocking
-// epoll event loop that accepts TCP connections, runs a per-connection
-// frame state machine (read -> decode -> dispatch -> write-back), and
-// hosts a DistributionService behind the WireClock/WireSink runtime
-// seam — the engine/strategy/cache decision layer runs unchanged from
-// the simulator (see core/runtime.h and DESIGN.md §13).
+// The networked pscd serving tier: a single-threaded epoll loop
+// (Daemon) owns the sockets and drives one Session per connection; the
+// Session runs the wire protocol against a DistributionService behind
+// the WireClock/WireSink seam, the decision layer the simulator drives
+// (core/runtime.h, DESIGN.md §13).
 //
-// Connection state machine (per fd):
-//
-//        +--------- read bytes ----------+
-//        v                               |
-//   [READING] --frame complete--> [DISPATCH] --response--> [WRITING]
-//        |                               |                     |
-//        | decode error /                | handler error       | flushed
-//        | EOF / overflow                v                     v
-//        +------> [CLOSED] <---- error RESPONSE is        [READING]
-//                                 still written first
-//
-// Malformed bytes (bad magic/version/type/flags/length) can never
-// resynchronize, so the connection is closed; a well-formed frame whose
-// *operation* fails (unknown page, out-of-range proxy) gets a RESPONSE
-// with status=kError and the connection lives on.
-//
-// Threading: the loop runs entirely on the thread that calls run().
-// stop() is the one cross-thread entry point — it flips an atomic and
-// wakes the loop through an eventfd. Every other fd is closed by the
-// time run() returns. The eventfd lives until the destructor, so a
-// stop() racing with run()'s return never writes to a closed fd number
-// that another file may already reuse. A destroyed daemon holds no
-// kernel resources (the loopback test counts /proc/self/fd entries to
-// prove it).
+// Threading: the loop runs on the thread that calls run(); stop() is
+// the one cross-thread entry point (an atomic plus an eventfd wake).
+// Every other fd is closed by the time run() returns. The eventfd lives
+// until the destructor, so a stop() racing run()'s return never writes
+// to a reused fd number. A destroyed daemon holds no kernel resources
+// (the loopback test counts /proc/self/fd entries to prove it).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/core/service.h"
 #include "pscd/net/wire.h"
 #include "pscd/net/wire_runtime.h"
 #include "pscd/topology/network.h"
+#include "pscd/util/log.h"
 #include "pscd/util/types.h"
 
 namespace pscd::net {
@@ -53,13 +37,6 @@ struct DaemonConfig {
   /// Connections beyond this are accepted and immediately closed
   /// (counted in DaemonStats::acceptRejected).
   std::size_t maxConnections = 1024;
-  /// Pre-decode cap on a connection's buffered-but-undecodable input.
-  /// A well-formed stream's residual after a decode pass is always
-  /// under one frame (header + kMaxBodyBytes), so anything larger is
-  /// hostile or broken and the connection is closed
-  /// (DaemonStats::inputOverflows). Belt-and-suspenders over the
-  /// per-frame bodyLen cap at decode time.
-  std::size_t maxInBufferBytes = 1u << 20;
   // Connection deadlines (DESIGN.md §14); 0 disables each reaper.
   // With all three at 0 (the default) the daemon takes no extra clock
   // reads and behaves bit-identically to the pre-hardening loop.
@@ -72,10 +49,10 @@ struct DaemonConfig {
   /// long (slow reader with a full socket buffer).
   double writeTimeoutSeconds = 0.0;
   /// Load shedding: when > 0, a REQUEST decoded with this many frames
-  /// already dispatched ahead of it in the same input drain is answered
-  /// with status=kOverloaded instead of being executed — constant-time
-  /// rejection under a pipelined burst. State-mutating frames
-  /// (SUBSCRIBE/UNSUBSCRIBE/PUBLISH) are never shed. 0 disables.
+  /// already dispatched ahead of it in the same readable event is
+  /// answered with status=kOverloaded instead of being executed —
+  /// constant-time rejection under a pipelined burst. State-mutating
+  /// frames (SUBSCRIBE/UNSUBSCRIBE/PUBLISH) are never shed. 0 disables.
   std::size_t shedThreshold = 0;
   /// Drain budget for stopDrain(): stop accepting, keep serving live
   /// connections until they close (or this deadline), then exit.
@@ -98,8 +75,6 @@ struct DaemonStats {
   std::uint64_t protocolErrors = 0;
   /// Operations answered with status=kError (connection kept).
   std::uint64_t errorResponses = 0;
-  /// Connections closed for exceeding maxInBufferBytes pre-decode.
-  std::uint64_t inputOverflows = 0;
   /// Connections reaped by the idle deadline.
   std::uint64_t idleTimeouts = 0;
   /// Connections reaped holding an incomplete frame past the read
@@ -122,12 +97,61 @@ struct DaemonStats {
 /// stats dump, and gtest failure messages).
 std::string formatDaemonStats(const DaemonStats& stats);
 
+/// One connection's wire protocol without the socket; it needs only a
+/// service, a clock and the stats it counts into:
+///
+///   receive(chunk) --> decode --kOk--> dispatch --> RESPONSE in unsent()
+///                        |                  |
+///     kError, or a client RESPONSE          backlog over 4 MiB
+///                        +----> close, with the reason
+///
+/// Malformed bytes never resynchronize, so they close the session; a
+/// well-formed frame whose operation fails (unknown page, out-of-range
+/// proxy) gets a status=kError RESPONSE and the session lives on.
+/// decodeFrame rejects a header whose body length is not its type's, so
+/// after every receive() less than one frame (kWireHeaderBytes + 28
+/// bytes) stays buffered.
+class Session {
+ public:
+  Session(DistributionService& service, const Clock& clock,
+          DaemonStats& stats, std::size_t shedThreshold)
+      : service_(service), clock_(clock), stats_(stats),
+        shedThreshold_(shedThreshold) {}
+
+  /// Starts one readable event: the load shedder counts from here.
+  void beginRead() { framesThisRead_ = 0; }
+
+  /// Decodes and answers every frame `chunk` completes. Returns
+  /// std::nullopt to keep the connection, or why it must close.
+  std::optional<std::string> receive(std::string_view chunk);
+
+  /// Undecoded input bytes: a partial frame or nothing.
+  std::size_t buffered() const { return in_.size(); }
+  /// Encoded RESPONSEs not yet sent.
+  std::string_view unsent() const {
+    return std::string_view(out_).substr(sent_);
+  }
+  /// Drops the first `n` bytes of unsent() once the peer has them.
+  void markSent(std::size_t n);
+
+ private:
+  ResponseBody dispatch(const WireFrame& frame);
+
+  DistributionService& service_;
+  const Clock& clock_;
+  DaemonStats& stats_;
+  std::size_t shedThreshold_;
+  std::size_t framesThisRead_ = 0;
+  std::string in_;
+  std::string out_;
+  std::size_t sent_ = 0;  // prefix of out_ already sent
+};
+
 class Daemon {
  public:
   /// Binds and listens immediately (throws std::runtime_error with the
   /// errno string on any socket failure), but serves only once run() is
-  /// called. `service` must have been built against `clock`; each
-  /// RESPONSE is built from the record the service call returns.
+  /// called. `service` must have been built against `clock`.
   Daemon(DistributionService& service, const Clock& clock,
          const DaemonConfig& config);
   ~Daemon();
@@ -164,10 +188,8 @@ class Daemon {
  private:
   struct Connection {
     int fd = -1;
-    std::string in;
-    std::string out;
-    std::size_t outFlushed = 0;  // prefix of `out` already sent
-    bool wantWrite = false;      // unflushed output is sitting in `out`
+    Session session;
+    bool wantWrite = false;      // unsent output is waiting on EPOLLOUT
     double lastActivity = 0.0;   // clock_ time of the last read bytes
     double writePendingSince = 0.0;  // clock_ time wantWrite was set
   };
@@ -180,12 +202,10 @@ class Daemon {
   bool flushWrites(Connection& conn);
   /// Returns false when re-arming failed and the connection was closed.
   bool updateInterest(Connection& conn);
-  void closeConnection(int fd);
+  /// Closes one live connection, logging a non-empty `why` at `level`.
+  void closeConnection(int fd, std::string_view why = {},
+                       LogLevel level = LogLevel::kWarn);
   void closeAll();
-  /// Decodes and dispatches every complete frame in conn.in; returns
-  /// false when the connection was closed (decode/protocol error).
-  bool processInput(Connection& conn);
-  ResponseBody dispatch(const WireFrame& frame);
   /// The earliest of conn's armed deadlines (write, read, idle); +inf
   /// when none applies.
   double deadlineOf(const Connection& conn) const;

@@ -29,46 +29,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0.0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x, double weight) {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::binLo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::binHi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::cdf(double x) const {
-  if (total_ <= 0) return 0.0;
-  if (x <= lo_) return 0.0;
-  if (x >= hi_) return 1.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (x >= binHi(i)) {
-      acc += counts_[i];
-    } else {
-      acc += counts_[i] * (x - binLo(i)) / width_;
-      break;
-    }
-  }
-  return acc / total_;
-}
-
 HourlySeries::HourlySeries(std::size_t hours) : num_(hours), den_(hours) {
   if (hours == 0) throw std::invalid_argument("HourlySeries: hours > 0");
 }
@@ -84,18 +44,6 @@ void HourlySeries::add(SimTime t, double numerator, double denominator) {
 double HourlySeries::ratio(std::size_t hour) const {
   PSCD_CHECK_LT(hour, num_.size()) << "HourlySeries::ratio hour out of range";
   return den_[hour] > 0 ? num_[hour] / den_[hour] : 0.0;
-}
-
-double quantile(std::span<const double> sample, double q) {
-  if (sample.empty()) throw std::invalid_argument("quantile: empty sample");
-  q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> v(sample.begin(), sample.end());
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
 }  // namespace pscd

@@ -1,10 +1,9 @@
-// Small statistics helpers: running moments, histograms and the hourly
-// time series used by the evaluation figures.
+// Small statistics helpers: running moments and the hourly time series
+// used by the evaluation figures.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "pscd/util/types.h"
@@ -34,31 +33,6 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into
-/// the first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-
-  std::size_t bins() const { return counts_.size(); }
-  double binLo(std::size_t i) const;
-  double binHi(std::size_t i) const;
-  double count(std::size_t i) const { return counts_[i]; }
-  double total() const { return total_; }
-
-  /// Fraction of mass at or below x (linear interpolation within bins).
-  double cdf(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
-
 /// Accumulates (numerator, denominator) pairs into hourly buckets; used
 /// for hit-ratio-per-hour (fig. 6) and traffic-per-hour (fig. 7).
 class HourlySeries {
@@ -73,14 +47,9 @@ class HourlySeries {
   /// numerator/denominator for the hour, or 0 when the hour is empty.
   double ratio(std::size_t hour) const;
 
-  std::span<const double> numerators() const { return num_; }
-
  private:
   std::vector<double> num_;
   std::vector<double> den_;
 };
-
-/// Exact quantile of a sample (copies and sorts; for tests/analysis).
-double quantile(std::span<const double> sample, double q);
 
 }  // namespace pscd

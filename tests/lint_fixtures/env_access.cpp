@@ -1,5 +1,5 @@
-// Fixture: ambient environment reads/writes outside bench_common.h make
-// behavior depend on state no seed controls.
+// Fixture: ambient environment reads/writes make behavior depend on
+// state no seed controls.
 #include <cstdlib>
 
 namespace fixture {

@@ -203,23 +203,6 @@ TEST(DaemonCounters, EveryCounterFiresExactlyOnce) {
   }
   {
     CounterCase c;
-    c.name = "input_overflow";
-    c.config.maxInBufferBytes = 8;
-    c.selfStopping = false;
-    c.provoke = [](ServeHost& host) {
-      WireClient client("127.0.0.1", host.daemon().port());
-      // A well-formed 16-byte header whose body never arrives: decode
-      // says kNeedMore, and the 16 buffered bytes blow the 8-byte cap.
-      client.sendRaw(encodedRequest(1, 0, 1).substr(0, 16));
-      WireFrame out;
-      EXPECT_EQ(client.readResponse(5.0, &out), WireError::kConnReset);
-    };
-    c.expected = DaemonStats{.accepted = 1, .closed = 1,
-                             .inputOverflows = 1};
-    cases.push_back(std::move(c));
-  }
-  {
-    CounterCase c;
     c.name = "idle_timeout";
     c.config.idleTimeoutSeconds = 0.1;
     c.selfStopping = false;
@@ -588,6 +571,56 @@ TEST(ChaosResilience, HostNameTargetForwards) {
   EXPECT_EQ(outcome.result.attempts, 1u);
   EXPECT_EQ(outcome.chaos.connections, 1u);
   EXPECT_EQ(outcome.chaos.connectFailures, 0u);
+}
+
+/// Publishes pages 1..3 directly, then asks for them 20 times over
+/// `port`: 20 REQUEST round trips, 1,360 bytes on the wire.
+std::vector<ResponseBody> runThrottleExchange(ServeHost& host,
+                                              std::uint16_t port) {
+  {
+    WireClient seeder("127.0.0.1", host.daemon().port());
+    for (PageId page = 1; page <= 3; ++page) {
+      EXPECT_TRUE(seeder.publish(page, 1, 64 * page).ok());
+    }
+  }
+  WireClient client("127.0.0.1", port);
+  std::vector<ResponseBody> answers;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    answers.push_back(client.request(i % 2, 1 + i % 3));
+  }
+  return answers;
+}
+
+TEST(ChaosResilience, ThrottleSendsEveryDueByteInOnePass) {
+  ServeHost direct(smallHostConfig(), DaemonConfig{});
+  ServeHost throttled(smallHostConfig(), DaemonConfig{});
+  std::thread directLoop([&direct] { direct.daemon().run(); });
+  std::thread throttledLoop([&throttled] { throttled.daemon().run(); });
+  const std::vector<ResponseBody> expected =
+      runThrottleExchange(direct, direct.daemon().port());
+
+  ChaosConfig chaosConfig;
+  chaosConfig.targetPort = throttled.daemon().port();
+  chaosConfig.clientToServer.bytesPerSecond = 20000;
+  chaosConfig.serverToClient.bytesPerSecond = 20000;
+  ChaosProxy proxy(chaosConfig);
+  std::thread proxyLoop([&proxy] { proxy.run(); });
+  const double start = monotonicSeconds();
+  const std::vector<ResponseBody> answers =
+      runThrottleExchange(throttled, proxy.port());
+  const double seconds = monotonicSeconds() - start;
+
+  proxy.stop();
+  proxyLoop.join();
+  for (ServeHost* host : {&direct, &throttled}) host->daemon().stop();
+  directLoop.join();
+  throttledLoop.join();
+  EXPECT_TRUE(answers == expected);
+  // 1,360 bytes at 20,000 B/s each way is 0.07 s of pacing; one byte
+  // per pass would take at least 1.36 s.
+  EXPECT_LT(seconds, 0.5);
+  EXPECT_EQ(proxy.stats().bytesUpstream, 20u * 24u);
+  EXPECT_EQ(proxy.stats().bytesDownstream, 20u * 44u);
 }
 
 TEST(ChaosResilience, ChaosConfigIsValidated) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <stdexcept>
 
 namespace pscd {
 namespace {
@@ -44,39 +44,6 @@ TEST(RunningStatsTest, HandlesNegatives) {
   EXPECT_DOUBLE_EQ(s.min(), -3.0);
 }
 
-TEST(HistogramTest, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_DOUBLE_EQ(h.binLo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.binHi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.binLo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.binHi(4), 10.0);
-}
-
-TEST(HistogramTest, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);
-  h.add(-100.0);  // clamps to first bin
-  h.add(999.0);   // clamps to last bin
-  h.add(9.0, 2.0);
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 3.0);
-  EXPECT_DOUBLE_EQ(h.total(), 5.0);
-}
-
-TEST(HistogramTest, CdfInterpolates) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.cdf(5.0), 0.5, 0.01);
-  EXPECT_DOUBLE_EQ(h.cdf(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.cdf(11.0), 1.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(HourlySeriesTest, BucketsByHour) {
   HourlySeries s(24);
   s.add(0.0, 1.0);
@@ -104,26 +71,6 @@ TEST(HourlySeriesTest, ClampsOutOfRange) {
 
 TEST(HourlySeriesTest, RejectsZeroHours) {
   EXPECT_THROW(HourlySeries(0), std::invalid_argument);
-}
-
-TEST(QuantileTest, Median) {
-  const std::vector<double> v = {5.0, 1.0, 3.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 3.0);
-}
-
-TEST(QuantileTest, Extremes) {
-  const std::vector<double> v = {2.0, 8.0, 4.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 8.0);
-}
-
-TEST(QuantileTest, Interpolates) {
-  const std::vector<double> v = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.5);
-}
-
-TEST(QuantileTest, RejectsEmpty) {
-  EXPECT_THROW(quantile(std::vector<double>{}, 0.5), std::invalid_argument);
 }
 
 }  // namespace

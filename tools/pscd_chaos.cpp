@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   args.addOption("seed", "jitter RNG seed", "1");
   args.addOption("latency-ms", "fixed delay per forwarded chunk", "0");
   args.addOption("jitter-ms", "uniform extra delay per chunk", "0");
-  args.addOption("bps", "1-byte-dribble throttle rate (0 = off)", "0");
+  args.addOption("bps", "client-to-server bytes/s throttle (0 = off)", "0");
   args.addOption("stall-bytes",
                  "per direction: forward N bytes then hang (0 = off)", "0");
   args.addOption("truncate-bytes",

@@ -584,7 +584,6 @@ void checkNakedNew(const FileContext& ctx, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 
 void checkEnvAccess(const FileContext& ctx, std::vector<Finding>& out) {
-  if (ctx.effectivePath == "bench/bench_common.h") return;
   static const std::set<std::string> kBanned = {
       "getenv", "secure_getenv", "setenv", "putenv", "unsetenv"};
   for (const Token& t : *ctx.tokens) {
@@ -592,8 +591,7 @@ void checkEnvAccess(const FileContext& ctx, std::vector<Finding>& out) {
       addFinding(out, ctx, t.line, "env-access",
                  "'" + t.text +
                      "' makes behavior depend on ambient environment; "
-                     "route configuration through bench_common.h or "
-                     "explicit flags");
+                     "pass the value as an explicit flag");
     }
   }
 }
@@ -941,9 +939,8 @@ const std::vector<Rule>& ruleRegistry() {
        "use std::make_unique/std::make_shared or standard containers",
        inLibraryOrLintTool, checkNakedNew},
       {"env-access", "correctness",
-       "environment access (getenv & friends) outside bench_common.h",
-       "plumb configuration through explicit flags or BenchEnv",
-       anywhere, checkEnvAccess},
+       "environment access (getenv & friends)",
+       "pass the value as an explicit flag", anywhere, checkEnvAccess},
       {"alloc-in-hot", "performance",
        "allocation inside a PSCD_HOT body (new, make_unique/make_shared, "
        "container/string/function construction)",

@@ -6,8 +6,8 @@
 // path scope: determinism rules about container iteration only apply
 // inside src/pscd/, the float-compare rule exempts tests/, and a small
 // number of files are sanctioned homes for otherwise-banned constructs
-// (util/wallclock.h for clocks, util/check.h for throw,
-// bench/bench_common.h for environment access).
+// (util/wallclock.h for clocks, util/check.h for throw); environment
+// access has no such home.
 #pragma once
 
 #include <functional>
