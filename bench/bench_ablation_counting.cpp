@@ -12,39 +12,14 @@ using namespace pscd::bench;
 namespace {
 
 double runVariant(const Workload& w, const Network& net,
-                  GdsFamilyConfig config, double capacityFraction) {
+                  const GdsFamilyConfig& config, double capacityFraction) {
   SimConfig sc;
   sc.capacityFraction = capacityFraction;
-  Simulator capacityHelper(w, net, sc);
-  std::vector<std::unique_ptr<DistributionStrategy>> proxies;
-  for (ProxyId p = 0; p < w.numProxies(); ++p) {
-    proxies.push_back(std::make_unique<GdsFamilyStrategy>(
-        capacityHelper.proxyCapacity(p), net.fetchCost(p), config));
-  }
-  std::vector<Version> latest(w.numPages(), 0);
-  std::uint64_t hits = 0;
-  std::size_t pi = 0, ri = 0;
-  while (pi < w.publishes.size() || ri < w.requests.size()) {
-    const bool takePublish =
-        pi < w.publishes.size() &&
-        (ri >= w.requests.size() ||
-         w.publishes[pi].time <= w.requests[ri].time);
-    if (takePublish) {
-      const auto& e = w.publishes[pi++];
-      latest[e.page] = e.version;
-      for (const auto& n : w.subscriptions(e.page)) {
-        proxies[n.proxy]->onPush(
-            {e.page, e.version, e.size, n.matchCount, e.time});
-      }
-    } else {
-      const auto& r = w.requests[ri++];
-      hits += proxies[r.proxy]
-                  ->onRequest({r.page, latest[r.page], w.pages[r.page].size,
-                               w.subscriptionCount(r.page, r.proxy), r.time})
-                  .hit;
-    }
-  }
-  return static_cast<double>(hits) / static_cast<double>(w.requests.size());
+  sc.strategyFactory = [&config](ProxyId, const StrategyParams& p) {
+    return std::make_unique<GdsFamilyStrategy>(p.capacity, p.fetchCost,
+                                               config);
+  };
+  return Simulator(w, net, sc).run().hitRatio();
 }
 
 }  // namespace

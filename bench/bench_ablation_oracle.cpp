@@ -1,7 +1,8 @@
 // Ablation: clairvoyant upper bound. A Belady-style oracle that knows
 // every future request bounds the achievable hit ratio at each capacity;
 // the gap between SG2/SR and the oracle is the room any smarter online
-// strategy could still claim.
+// strategy could still claim. The oracle runs through the same Simulator
+// as the online strategies, by a strategy factory.
 #include "bench_common.h"
 
 using namespace pscd;
@@ -11,39 +12,13 @@ namespace {
 
 double runOracle(const Workload& w, const Network& net,
                  double capacityFraction) {
+  const auto schedules = buildRequestSchedules(w);
   SimConfig sc;
   sc.capacityFraction = capacityFraction;
-  Simulator capacityHelper(w, net, sc);
-  const auto schedules = buildRequestSchedules(w);
-  std::vector<std::unique_ptr<DistributionStrategy>> proxies;
-  for (ProxyId p = 0; p < w.numProxies(); ++p) {
-    proxies.push_back(std::make_unique<OracleStrategy>(
-        capacityHelper.proxyCapacity(p), schedules[p]));
-  }
-  std::vector<Version> latest(w.numPages(), 0);
-  std::uint64_t hits = 0;
-  std::size_t pi = 0, ri = 0;
-  while (pi < w.publishes.size() || ri < w.requests.size()) {
-    const bool takePublish =
-        pi < w.publishes.size() &&
-        (ri >= w.requests.size() ||
-         w.publishes[pi].time <= w.requests[ri].time);
-    if (takePublish) {
-      const auto& e = w.publishes[pi++];
-      latest[e.page] = e.version;
-      for (const auto& n : w.subscriptions(e.page)) {
-        proxies[n.proxy]->onPush(
-            {e.page, e.version, e.size, n.matchCount, e.time});
-      }
-    } else {
-      const auto& r = w.requests[ri++];
-      hits += proxies[r.proxy]
-                  ->onRequest({r.page, latest[r.page], w.pages[r.page].size,
-                               0, r.time})
-                  .hit;
-    }
-  }
-  return static_cast<double>(hits) / static_cast<double>(w.requests.size());
+  sc.strategyFactory = [&schedules](ProxyId p, const StrategyParams& params) {
+    return std::make_unique<OracleStrategy>(params.capacity, schedules[p]);
+  };
+  return Simulator(w, net, sc).run().hitRatio();
 }
 
 }  // namespace

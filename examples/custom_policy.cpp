@@ -4,8 +4,8 @@
 // The custom policy below ("PushLRU") stores every pushed page and every
 // missed page and evicts in least-recently-*touched* order — a naive
 // push-aware LRU. The example shows the full strategy surface a
-// downstream user implements, and how to drive it with the simulator's
-// engine replay loop.
+// downstream user implements, and how the Simulator runs it through
+// SimConfig::strategyFactory.
 //
 //   $ ./custom_policy
 #include <cstdio>
@@ -72,48 +72,6 @@ class PushLruStrategy final : public DistributionStrategy {
   std::uint64_t ticks_ = 0;  // touches so far
 };
 
-/// Replays a workload against one strategy instance per proxy and
-/// returns the global hit ratio — the same loop the Simulator runs,
-/// written out for custom strategies.
-double replay(const Workload& w,
-              const std::function<std::unique_ptr<DistributionStrategy>(
-                  Bytes capacity, double fetchCost)>& make,
-              const Network& network, double capacityFraction) {
-  std::vector<std::unique_ptr<DistributionStrategy>> proxies;
-  for (ProxyId p = 0; p < w.numProxies(); ++p) {
-    const auto cap = static_cast<Bytes>(
-        capacityFraction * static_cast<double>(w.uniqueBytesRequested[p]));
-    proxies.push_back(make(std::max<Bytes>(cap, 1), network.fetchCost(p)));
-  }
-  std::vector<Version> latest(w.numPages(), 0);
-  std::uint64_t hits = 0;
-  std::size_t pi = 0, ri = 0;
-  while (pi < w.publishes.size() || ri < w.requests.size()) {
-    const bool takePublish =
-        pi < w.publishes.size() &&
-        (ri >= w.requests.size() ||
-         w.publishes[pi].time <= w.requests[ri].time);
-    if (takePublish) {
-      const auto& e = w.publishes[pi++];
-      latest[e.page] = e.version;
-      for (const auto& n : w.subscriptions(e.page)) {
-        if (proxies[n.proxy]->pushCapable()) {
-          proxies[n.proxy]->onPush(
-              {e.page, e.version, e.size, n.matchCount, e.time});
-        }
-      }
-    } else {
-      const auto& r = w.requests[ri++];
-      hits += proxies[r.proxy]
-                  ->onRequest({r.page, latest[r.page],
-                               w.pages[r.page].size,
-                               w.subscriptionCount(r.page, r.proxy), r.time})
-                  .hit;
-    }
-  }
-  return static_cast<double>(hits) / static_cast<double>(w.requests.size());
-}
-
 }  // namespace
 
 int main() {
@@ -130,28 +88,23 @@ int main() {
               "25 proxies, capacity = 5%%\n\n",
               w.requests.size(), w.publishes.size());
 
-  const double custom = replay(
-      w,
-      [](Bytes cap, double) { return std::make_unique<PushLruStrategy>(cap); },
-      network, 0.05);
+  SimConfig config;
+  config.capacityFraction = 0.05;
+  config.strategyFactory = [](ProxyId, const StrategyParams& p) {
+    return std::make_unique<PushLruStrategy>(p.capacity);
+  };
   std::printf("  %-8s H = %.1f%%   (custom strategy)\n", "PushLRU",
-              100 * custom);
+              100 * Simulator(w, network, config).run().hitRatio());
 
+  config.strategyFactory = nullptr;
+  config.beta = 2.0;
   for (const StrategyKind kind :
        {StrategyKind::kGDStar, StrategyKind::kSUB, StrategyKind::kSG2,
         StrategyKind::kDCLAP}) {
-    const double h = replay(
-        w,
-        [&](Bytes cap, double cost) {
-          StrategyParams p;
-          p.capacity = cap;
-          p.fetchCost = cost;
-          p.beta = 2.0;
-          return makeStrategy(kind, p);
-        },
-        network, 0.05);
+    config.strategy = kind;
     std::printf("  %-8s H = %.1f%%\n",
-                std::string(strategyName(kind)).c_str(), 100 * h);
+                std::string(strategyName(kind)).c_str(),
+                100 * Simulator(w, network, config).run().hitRatio());
   }
   std::printf(
       "\nPushLRU stores everything it sees; the paper's value-based\n"

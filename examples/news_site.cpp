@@ -4,9 +4,11 @@
 //
 //   $ ./news_site [strategy] [capacity%] [SQ]
 //   $ ./news_site SG2 5 1.0
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "pscd/pscd.h"
 
@@ -63,15 +65,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(m.traffic().fetchPages),
               m.traffic().fetchBytes / 1e6);
 
+  // A day's hit ratio weights each hour's by its requests, binned as
+  // SimMetrics bins them.
+  std::vector<double> hourlyRequests(m.hours(), 0.0);
+  for (const RequestEvent& r : workload.requests) {
+    hourlyRequests[std::min(static_cast<std::size_t>(r.time / kHour),
+                            m.hours() - 1)] += 1.0;
+  }
   AsciiTable daily({"day", "hit ratio", "traffic (pages)"});
   for (int day = 0; day < 7; ++day) {
     double hits = 0, reqs = 0, pages = 0;
     for (int h = day * 24; h < (day + 1) * 24; ++h) {
       const auto hour = static_cast<std::size_t>(h);
-      hits += m.hourlyHitRatio(hour) > 0
-                  ? m.hourlyHitRatio(hour)  // ratio; weight below
-                  : 0.0;
-      reqs += 1.0;
+      hits += m.hourlyHitRatio(hour) * hourlyRequests[hour];
+      reqs += hourlyRequests[hour];
       pages += m.hourlyTrafficPages(hour);
     }
     daily.row()

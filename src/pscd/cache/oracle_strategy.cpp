@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "pscd/workload/workload.h"
-
 namespace pscd {
 
 OracleStrategy::OracleStrategy(Bytes capacity, RequestSchedule schedule)
@@ -89,14 +87,6 @@ RequestOutcome OracleStrategy::onRequest(const RequestContext& ctx) {
   entry.lastAccess = ctx.now;
   out.storedAfterMiss = insert(entry, ctx.now);
   return out;
-}
-
-std::vector<RequestSchedule> buildRequestSchedules(const Workload& workload) {
-  std::vector<RequestSchedule> schedules(workload.numProxies());
-  for (const RequestEvent& r : workload.requests) {
-    schedules[r.proxy].times[r.page].push_back(r.time);
-  }
-  return schedules;
 }
 
 }  // namespace pscd

@@ -54,10 +54,4 @@ class OracleStrategy final : public DistributionStrategy {
   RequestSchedule schedule_;
 };
 
-struct Workload;  // workload/workload.h
-
-/// Builds one per-proxy schedule from a generated workload (helper for
-/// driving OracleStrategy through the simulator's replay loop).
-std::vector<RequestSchedule> buildRequestSchedules(const Workload& workload);
-
 }  // namespace pscd

@@ -3,6 +3,7 @@
 // the benchmark harness.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -48,6 +49,11 @@ struct StrategyParams {
 
 std::unique_ptr<DistributionStrategy> makeStrategy(StrategyKind kind,
                                                    const StrategyParams& p);
+
+/// Builds one proxy's strategy from the parameters makeStrategy would
+/// get; how a caller runs a strategy that has no StrategyKind.
+using StrategyFactory = std::function<std::unique_ptr<DistributionStrategy>(
+    ProxyId, const StrategyParams&)>;
 
 std::string_view strategyName(StrategyKind kind);
 

@@ -36,6 +36,12 @@ DistributionService::DistributionService(const Network& network,
     throw std::invalid_argument(
         "DistributionService: one capacity per proxy required");
   }
+  if (!config_.strategyFactory) {
+    config_.strategyFactory = [kind = config_.strategy](
+                                  ProxyId, const StrategyParams& sp) {
+      return makeStrategy(kind, sp);
+    };
+  }
   strategyParams_.reserve(network.numProxies());
   proxies_.reserve(network.numProxies());
   for (ProxyId p = 0; p < network.numProxies(); ++p) {
@@ -47,13 +53,12 @@ DistributionService::DistributionService(const Network& network,
     sp.dcMinPcFraction = config_.dcMinPcFraction;
     sp.dcMaxPcFraction = config_.dcMaxPcFraction;
     strategyParams_.push_back(sp);
-    proxies_.push_back(makeStrategy(config_.strategy, sp));
+    proxies_.push_back(config_.strategyFactory(p, sp));
   }
   latency_.validate();
   faults_.validate();
   if (faults_.enabled()) {
     plan_ = buildFaultPlan(faults_, network, config.faultHorizon);
-    if (config.validateFaultPlan) plan_.checkInvariants(network);
     linkState_.emplace(network);
   }
 }
@@ -70,7 +75,7 @@ void DistributionService::handleFault(const FaultEvent& event) {
       linkState_->setProxyUp(event.proxy);
       if (!faults_.warmRestart) {
         proxies_[event.proxy] =
-            makeStrategy(config_.strategy, strategyParams_[event.proxy]);
+            config_.strategyFactory(event.proxy, strategyParams_[event.proxy]);
       }
       break;
     case FaultEventKind::kLinkDown:

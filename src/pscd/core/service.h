@@ -43,6 +43,10 @@ enum class PushScheme { kAlwaysPushing, kPushingWhenNecessary };
 
 struct EngineConfig {
   StrategyKind strategy = StrategyKind::kGDStar;
+  /// When set, builds every proxy's strategy in place of makeStrategy(
+  /// strategy, ·), at construction and on each cold restart, so what it
+  /// refers to must outlive the service.
+  StrategyFactory strategyFactory;
   double beta = 1.0;
   double dcInitialPcFraction = 0.5;
   double dcMinPcFraction = 0.25;
@@ -61,8 +65,6 @@ struct ServiceConfig {
   /// Horizon the stochastic fault schedule is sampled over; ignored
   /// when the failure layer is off.
   SimTime faultHorizon = 0.0;
-  /// Validate the sampled fault plan against the network up front.
-  bool validateFaultPlan = false;
 };
 
 class DistributionService {

@@ -85,6 +85,7 @@ SimMetrics Simulator::run() {
 
   ServiceConfig sc;
   sc.engine.strategy = config_.strategy;
+  sc.engine.strategyFactory = config_.strategyFactory;
   sc.engine.beta = config_.beta;
   sc.engine.pushScheme = config_.pushScheme;
   sc.engine.dcInitialPcFraction = config_.dcInitialPcFraction;
@@ -98,7 +99,6 @@ SimMetrics Simulator::run() {
   sc.latency.remoteLatencyMsPerUnit = config_.remoteLatencyMsPerUnit;
   sc.faults = config_.faults;
   sc.faultHorizon = workload_.params.publishing.horizon;
-  sc.validateFaultPlan = selfCheck;
 
   const std::size_t hours =
       config_.collectHourly
@@ -121,6 +121,7 @@ SimMetrics Simulator::run() {
   // The scheduled fault timeline (empty when the failure layer is off);
   // each event is handed back to the service at its due time.
   const FaultPlan& plan = service.faultPlan();
+  if (selfCheck) plan.checkInvariants(network_);
 
   // Merge the time-sorted streams (publishes, requests, optional
   // subscription churn, and the fault schedule); publishes win ties so a
@@ -129,13 +130,8 @@ SimMetrics Simulator::run() {
   // workload event at the same instant (a crash at time t means the
   // proxy is already down for t's requests).
   std::size_t pi = 0, ri = 0, ci = 0, fi = 0;
-  std::uint64_t eventCount = 0;
   SimTime checkedUpTo = 0.0;  // hour boundary already validated
   const auto maybeCheck = [&](SimTime now) {
-    if (config_.invariantCheckInterval > 0 &&
-        ++eventCount % config_.invariantCheckInterval == 0) {
-      service.checkInvariants();
-    }
     if (selfCheck && now >= checkedUpTo + kHour) {
       // Validate once per simulated hour, however far the clock jumped.
       checkedUpTo += kHour * std::floor((now - checkedUpTo) / kHour);
@@ -183,10 +179,16 @@ SimMetrics Simulator::run() {
       maybeCheck(ev.time);
     }
   }
-  if (config_.invariantCheckInterval > 0 || selfCheck) {
-    service.checkInvariants();
-  }
+  if (selfCheck) service.checkInvariants();
   return metrics;
+}
+
+std::vector<RequestSchedule> buildRequestSchedules(const Workload& workload) {
+  std::vector<RequestSchedule> schedules(workload.numProxies());
+  for (const RequestEvent& r : workload.requests) {
+    schedules[r.proxy].times[r.page].push_back(r.time);
+  }
+  return schedules;
 }
 
 }  // namespace pscd

@@ -5,6 +5,7 @@
 // (section 5.1).
 #pragma once
 
+#include "pscd/cache/oracle_strategy.h"
 #include "pscd/core/fault_plan.h"
 #include "pscd/core/service.h"
 #include "pscd/sim/metrics.h"
@@ -15,6 +16,8 @@ namespace pscd {
 
 struct SimConfig {
   StrategyKind strategy = StrategyKind::kGDStar;
+  /// Runs any other strategy (EngineConfig::strategyFactory).
+  StrategyFactory strategyFactory;
   double beta = 1.0;
   /// Cache capacity as a fraction of the proxy's unique requested bytes
   /// (the paper evaluates 0.01, 0.05 and 0.10).
@@ -25,12 +28,9 @@ struct SimConfig {
   double dcInitialPcFraction = 0.5;
   double dcMinPcFraction = 0.25;
   double dcMaxPcFraction = 0.75;
-  /// Strategy invariants re-checked every N events (0 = never); used by
-  /// integration tests, far too slow for benches.
-  std::uint64_t invariantCheckInterval = 0;
   /// Deep self-check mode (pscd_sim --self-check): validates the network
-  /// once up front and the whole service (broker, matcher, every proxy
-  /// strategy) after each simulated hour and at the end of the run.
+  /// and fault plan up front and the whole service (broker, matcher,
+  /// every strategy) after each simulated hour and at the end of the run.
   /// Debug (!NDEBUG) builds always run these checks.
   bool selfCheckHourly = false;
   /// Latency model for the response-time metric: a hit is served from
@@ -63,5 +63,8 @@ class Simulator {
   const Network& network_;
   SimConfig config_;
 };
+
+/// Each proxy's request times per page: an OracleStrategy's future.
+std::vector<RequestSchedule> buildRequestSchedules(const Workload& workload);
 
 }  // namespace pscd

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -26,22 +27,28 @@ std::ostream* setLogSink(std::ostream* sink);
 void logMessage(LogLevel level, std::string_view message);
 
 namespace detail {
+/// One line, gated once at construction: a line below logLevel() builds
+/// no stream and formats none of its operands.
 class LogLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level) {}
+  explicit LogLine(LogLevel level) : level_(level) {
+    if (static_cast<int>(level) >= static_cast<int>(logLevel())) os_.emplace();
+  }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
-  ~LogLine() { logMessage(level_, os_.str()); }
+  ~LogLine() {
+    if (os_) logMessage(level_, os_->str());
+  }
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    os_ << v;
+    if (os_) *os_ << v;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::ostringstream os_;
+  std::optional<std::ostringstream> os_;
 };
 }  // namespace detail
 

@@ -31,9 +31,22 @@ TEST_F(LogTest, InfoEmitsAtInfoLevel) {
   EXPECT_EQ(captured_.str(), "[INFO] hello 42\n");
 }
 
+// Counts how often it is formatted.
+struct FormatCounter {
+  int* calls;
+};
+std::ostream& operator<<(std::ostream& os, const FormatCounter& c) {
+  ++*c.calls;
+  return os << "counted";
+}
+
 TEST_F(LogTest, DebugSuppressedAtInfoLevel) {
-  logDebug() << "nope";
+  int calls = 0;
+  logDebug() << "nope " << FormatCounter{&calls};
   EXPECT_TRUE(captured_.str().empty());
+  EXPECT_EQ(calls, 0);  // a disabled line formats none of its operands
+  logInfo() << FormatCounter{&calls};
+  EXPECT_EQ(calls, 1);
 }
 
 TEST_F(LogTest, LevelFiltering) {

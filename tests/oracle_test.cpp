@@ -108,49 +108,20 @@ TEST(OracleTest, BeatsEveryOnlineStrategyOnRealWorkload) {
   const Network net(NetworkParams{.numProxies = 8}, rng);
   const auto schedules = buildRequestSchedules(w);
 
-  // Replay the oracle through the same event loop as the simulator.
-  std::vector<std::unique_ptr<DistributionStrategy>> proxies;
   SimConfig sc;
   sc.capacityFraction = 0.05;
-  Simulator capacityHelper(w, net, sc);
-  for (ProxyId pr = 0; pr < 8; ++pr) {
-    proxies.push_back(std::make_unique<OracleStrategy>(
-        capacityHelper.proxyCapacity(pr), schedules[pr]));
-  }
-  std::vector<Version> latest(w.numPages(), 0);
-  std::uint64_t hits = 0;
-  std::size_t pi = 0, ri = 0;
-  while (pi < w.publishes.size() || ri < w.requests.size()) {
-    const bool takePublish =
-        pi < w.publishes.size() &&
-        (ri >= w.requests.size() ||
-         w.publishes[pi].time <= w.requests[ri].time);
-    if (takePublish) {
-      const auto& e = w.publishes[pi++];
-      latest[e.page] = e.version;
-      for (const auto& n : w.subscriptions(e.page)) {
-        proxies[n.proxy]->onPush(
-            {e.page, e.version, e.size, n.matchCount, e.time});
-      }
-    } else {
-      const auto& r = w.requests[ri++];
-      hits += proxies[r.proxy]
-                  ->onRequest({r.page, latest[r.page], w.pages[r.page].size,
-                               0, r.time})
-                  .hit;
-    }
-  }
-  const double oracle =
-      static_cast<double>(hits) / static_cast<double>(w.requests.size());
+  sc.strategyFactory = [&schedules](ProxyId pr, const StrategyParams& sp) {
+    return std::make_unique<OracleStrategy>(sp.capacity, schedules[pr]);
+  };
+  const double oracle = Simulator(w, net, sc).run().hitRatio();
 
+  sc.strategyFactory = nullptr;
+  sc.beta = 2.0;
   for (const StrategyKind kind :
        {StrategyKind::kGDStar, StrategyKind::kSG2, StrategyKind::kSR}) {
-    SimConfig c;
-    c.strategy = kind;
-    c.beta = 2.0;
-    c.capacityFraction = 0.05;
-    const double online = Simulator(w, net, c).run().hitRatio();
-    EXPECT_GE(oracle + 1e-9, online) << strategyName(kind);
+    sc.strategy = kind;
+    EXPECT_GE(oracle + 1e-9, Simulator(w, net, sc).run().hitRatio())
+        << strategyName(kind);
   }
 }
 

@@ -1,13 +1,15 @@
 // DistributionService as its drivers see it: every handlePublish/
 // handleRequest return is the very record its EventSink received, with
 // the failure layer off and with every failure process on; a request is
-// priced from that record; a push is stamped with its event's time; and
-// a bad proxy throws std::out_of_range in both modes.
+// priced from that record; a push is stamped with its event's time; a
+// bad proxy throws std::out_of_range in both modes; and a strategy
+// factory builds each proxy's strategy, again on every cold restart.
 #include "pscd/core/service.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "pscd/util/rng.h"
@@ -37,6 +39,37 @@ FaultConfig everyFault() {
   fc.fetchFailureProbability = 0.3;
   fc.retry.maxRetries = 1;
   return fc;
+}
+
+/// Proxy crashes and restarts only; the restarts are warm or cold.
+FaultConfig crashes(bool warm) {
+  FaultConfig fc;
+  fc.seed = 5;
+  fc.proxyFailuresPerDay = 4.0;
+  fc.proxyMeanDowntimeHours = 1.0;
+  fc.warmRestart = warm;
+  return fc;
+}
+
+using FactoryCall = std::pair<ProxyId, StrategyParams>;
+
+/// A factory that records each call in `calls` and then builds what
+/// makeStrategy(kind, ·) would.
+StrategyFactory recordingFactory(std::vector<FactoryCall>& calls,
+                                 StrategyKind kind) {
+  return [&calls, kind](ProxyId proxy, const StrategyParams& p) {
+    calls.emplace_back(proxy, p);
+    return makeStrategy(kind, p);
+  };
+}
+
+void expectSameParams(const StrategyParams& a, const StrategyParams& b) {
+  EXPECT_EQ(a.capacity, b.capacity);
+  EXPECT_EQ(a.fetchCost, b.fetchCost);
+  EXPECT_EQ(a.beta, b.beta);
+  EXPECT_EQ(a.dcInitialPcFraction, b.dcInitialPcFraction);
+  EXPECT_EQ(a.dcMinPcFraction, b.dcMinPcFraction);
+  EXPECT_EQ(a.dcMaxPcFraction, b.dcMaxPcFraction);
 }
 
 /// How often each failure-layer outcome showed up in a run.
@@ -123,6 +156,26 @@ class ServiceTest : public ::testing::Test {
         seen.unavailable += d.unavailable ? 1 : 0;
       }
     }
+  }
+
+  /// Builds a service whose factory records each call in `calls`,
+  /// applies its whole fault plan, and returns the proxies that came
+  /// back up, in plan order.
+  std::vector<ProxyId> RunPlanWithFactory(const FaultConfig& faults,
+                                          std::vector<FactoryCall>& calls) {
+    ServiceConfig sc = makeConfig(faults);
+    sc.engine.strategyFactory = recordingFactory(calls, sc.engine.strategy);
+    ManualClock clock;
+    RecordingSink sink;
+    DistributionService service(network_, clock, sink, std::move(sc));
+    EXPECT_EQ(calls.size(), network_.numProxies());
+    std::vector<ProxyId> ups;
+    for (const FaultEvent& ev : service.faultPlan().events) {
+      clock.advance(ev.time);
+      service.handleFault(ev);
+      if (ev.kind == FaultEventKind::kProxyUp) ups.push_back(ev.proxy);
+    }
+    return ups;
   }
 
   Rng rng_;
@@ -221,6 +274,51 @@ TEST_F(ServiceTest, DegradedRequestsArePricedWithTheirBackoff) {
   const RequestDelivery failed = service.handleRequest(1, 1);
   ASSERT_TRUE(failed.unavailable);
   EXPECT_EQ(failed.responseTimeMs, 0.0);
+}
+
+TEST_F(ServiceTest, StrategyFactorySeesTheParamsOfMakeStrategy) {
+  std::vector<FactoryCall> calls;
+  ServiceConfig sc = makeConfig(FaultConfig{});
+  sc.engine.strategy = StrategyKind::kDCLAP;
+  sc.engine.beta = 1.5;
+  sc.engine.dcInitialPcFraction = 0.4;
+  sc.engine.dcMinPcFraction = 0.2;
+  sc.engine.dcMaxPcFraction = 0.9;
+  sc.engine.proxyCapacities = {1000, 2000, 3000};
+  sc.engine.strategyFactory = recordingFactory(calls, sc.engine.strategy);
+  ManualClock clock;
+  RecordingSink sink;
+  const DistributionService service(network_, clock, sink, std::move(sc));
+  ASSERT_EQ(calls.size(), network_.numProxies());
+  for (ProxyId p = 0; p < network_.numProxies(); ++p) {
+    EXPECT_EQ(calls[p].first, p);
+    expectSameParams(calls[p].second,
+                     StrategyParams{.capacity = 1000 * (p + 1),
+                                    .fetchCost = network_.fetchCost(p),
+                                    .beta = 1.5,
+                                    .dcInitialPcFraction = 0.4,
+                                    .dcMinPcFraction = 0.2,
+                                    .dcMaxPcFraction = 0.9});
+    EXPECT_EQ(service.strategy(p).capacityBytes(), 1000 * (p + 1));
+  }
+}
+
+TEST_F(ServiceTest, ColdRestartCallsTheFactoryOncePerProxyUp) {
+  std::vector<FactoryCall> calls;
+  const std::vector<ProxyId> ups = RunPlanWithFactory(crashes(false), calls);
+  ASSERT_FALSE(ups.empty());
+  const std::size_t n = network_.numProxies();
+  ASSERT_EQ(calls.size(), n + ups.size());
+  for (std::size_t i = 0; i < ups.size(); ++i) {
+    EXPECT_EQ(calls[n + i].first, ups[i]);
+    expectSameParams(calls[n + i].second, calls[ups[i]].second);
+  }
+}
+
+TEST_F(ServiceTest, WarmRestartNeverCallsTheFactoryAgain) {
+  std::vector<FactoryCall> calls;
+  ASSERT_FALSE(RunPlanWithFactory(crashes(true), calls).empty());
+  EXPECT_EQ(calls.size(), network_.numProxies());
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ TEST_F(SimulatorTest, InvariantCheckingPasses) {
     c.strategy = kind;
     c.beta = 2.0;
     c.capacityFraction = 0.03;
-    c.invariantCheckInterval = 997;
+    c.selfCheckHourly = true;
     EXPECT_NO_THROW(Simulator(workload_, network_, c).run())
         << strategyName(kind);
   }
